@@ -12,9 +12,9 @@
 //! explicitly *not* deterministic — strip it before byte-comparing runs.
 //!
 //! Payments: `--payments critical` prices every admission with
-//! prefix-resumed critical-value bisection; `--payments critical-naive`
-//! runs the full-rerun baseline (bit-identical revenue, superlinearly
-//! slower — kept for speedup measurements like `BENCH_PR2.json`).
+//! prefix-resumed critical-value bisection (`--payments none`, the
+//! default, charges nothing). Sharded runs price against the merged
+//! trace through the same pricer.
 //!
 //! Selection: `--selection incremental` (default) drives each epoch's
 //! argmin with the dirty-set path cache + lazy score heap;
@@ -93,8 +93,7 @@ use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_par::Pool;
 use ufp_shard::{
-    EdgeCut, HotspotPairs, NodeBlocks, Partitioner, PaymentScope, ShardConfig, ShardStats,
-    ShardedEngine,
+    EdgeCut, HotspotPairs, NodeBlocks, Partitioner, ShardConfig, ShardStats, ShardedEngine,
 };
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
 use ufp_workloads::failures::{failure_trace, DrainWindow, FailureTraceConfig};
@@ -126,7 +125,6 @@ struct Options {
     cross_fraction: f64,
     cross_unroutable: bool,
     lease_fraction: f64,
-    payment_scope: String,
     trace_out: Option<String>,
     trace_chrome: Option<String>,
     metrics_out: Option<String>,
@@ -169,7 +167,6 @@ impl Default for Options {
             cross_fraction: 0.0,
             cross_unroutable: false,
             lease_fraction: 0.5,
-            payment_scope: "global".to_string(),
             trace_out: None,
             trace_chrome: None,
             metrics_out: None,
@@ -554,15 +551,6 @@ fn parse_options() -> Result<Options, String> {
                 }
             }
             "--cross-unroutable" => options.cross_unroutable = true,
-            "--payment-scope" => {
-                options.payment_scope = value("--payment-scope")?;
-                if !matches!(options.payment_scope.as_str(), "global" | "shard-local") {
-                    return Err(format!(
-                        "--payment-scope must be global or shard-local, got {}",
-                        options.payment_scope
-                    ));
-                }
-            }
             "--lease-fraction" => {
                 options.lease_fraction = value("--lease-fraction")?
                     .parse()
@@ -776,9 +764,8 @@ fn main() -> ExitCode {
     let payment_policy = match options.payments.as_str() {
         "none" => PaymentPolicy::None,
         "critical" => PaymentPolicy::critical_value(),
-        "critical-naive" => PaymentPolicy::critical_value_naive(),
         other => {
-            eprintln!("engine_sim: unknown payments {other} (none|critical|critical-naive)");
+            eprintln!("engine_sim: unknown payments {other} (none|critical)");
             return ExitCode::FAILURE;
         }
     };
@@ -876,18 +863,12 @@ fn main() -> ExitCode {
             options.partitioner,
             plan.boundary_edges().len()
         );
-        let payment_scope = match options.payment_scope.as_str() {
-            "global" => PaymentScope::GlobalTrace,
-            "shard-local" => PaymentScope::ShardLocal,
-            other => unreachable!("parse_options validated --payment-scope, got {other}"),
-        };
         Some(ShardedEngine::new(
             Arc::clone(&graph),
             plan,
             ShardConfig {
                 engine: engine_config.clone(),
                 lease_fraction: options.lease_fraction,
-                payment_scope,
             },
         ))
     } else {
@@ -1182,7 +1163,7 @@ fn main() -> ExitCode {
              \"churn\": {}, \"payments\": \"{}\", \"selection\": \"{}\", \"threads\": {}, \
              \"shards\": {}, \"partitioner\": \"{}\", \"communities\": {}, \
              \"inter_edges\": {}, \"cross_fraction\": {}, \"cross_unroutable\": {}, \
-             \"lease_fraction\": {}, \"payment_scope\": \"{}\", \
+             \"lease_fraction\": {}, \
              \"selection_strategy\": \"{:?}\", \"fail_seed\": {}, \"flap_rate\": {}, \
              \"resize_rate\": {}, \"outage_rate\": {}, \"drains\": {}}},",
             options.nodes,
@@ -1204,7 +1185,6 @@ fn main() -> ExitCode {
             options.cross_fraction,
             options.cross_unroutable,
             options.lease_fraction,
-            options.payment_scope,
             selection,
             options
                 .fail_seed

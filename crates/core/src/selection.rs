@@ -61,8 +61,7 @@ use crate::weights::DualWeights;
 /// same paths, same [`crate::IterationRecord`]s, same resume traces and
 /// payments — so the choice is purely a performance knob, and snapshots
 /// taken under one restore under the other (the engine keeps them in one
-/// config-fingerprint class, like `CriticalValue` /
-/// `CriticalValueNaive`).
+/// config-fingerprint class).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// Dirty-set shortest-path cache + lazy score heap: per iteration,

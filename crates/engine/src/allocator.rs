@@ -1,4 +1,4 @@
-//! Epoch-frozen allocator adapter for payment computation.
+//! Epoch-frozen allocator adapter: the full-rerun payment oracle.
 
 use ufp_core::{bounded_ufp_epoch, BoundedUfpConfig, EpochContext, RequestId, UfpInstance};
 use ufp_mechanism::SingleParamAllocator;
@@ -9,7 +9,9 @@ use ufp_mechanism::SingleParamAllocator;
 /// and carried weights the epoch's real run saw — the whole point of
 /// per-epoch truthfulness. On a trivial context this coincides with
 /// `ufp_mechanism::UfpAllocator`, which the engine/offline equivalence
-/// tests assert.
+/// tests assert. With `ufp_mechanism::critical_value` it is the
+/// independent full-rerun oracle the engine's prefix-resumed payments
+/// are checked against bit for bit.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochAllocator<'a> {
     /// Per-epoch allocation configuration.

@@ -17,16 +17,12 @@ pub enum PaymentPolicy {
     /// selections cannot change when its value drops), probes early-exit
     /// the moment the winner is re-selected, and independent winners fan
     /// out across the engine's worker pool with deterministic ordering.
-    /// Payments are bit-identical to [`PaymentPolicy::CriticalValueNaive`]
-    /// at a fraction of the cost — this is what makes pricing viable for
-    /// 10⁴-request batches.
+    /// Payments are bit-identical to a full-rerun bisection
+    /// (`ufp_mechanism::critical_value` over an
+    /// [`crate::EpochAllocator`] under the same frozen context, the
+    /// oracle the engine tests check against) at a fraction of the
+    /// cost — this is what makes pricing viable for 10⁴-request batches.
     CriticalValue(PaymentConfig),
-    /// Critical-value payments by naive full re-runs: every bisection
-    /// probe of every winner reruns the whole epoch allocation from
-    /// scratch. Kept as the reference baseline for equivalence tests and
-    /// speedup benchmarks; superlinear in batch size, so unusable beyond
-    /// small epochs.
-    CriticalValueNaive(PaymentConfig),
 }
 
 impl PaymentPolicy {
@@ -36,22 +32,12 @@ impl PaymentPolicy {
         PaymentPolicy::CriticalValue(PaymentConfig::default())
     }
 
-    /// The naive full-rerun baseline with default bisection tolerances.
-    pub fn critical_value_naive() -> Self {
-        PaymentPolicy::CriticalValueNaive(PaymentConfig::default())
-    }
-
     /// Snapshot-fingerprint of the policy: `(class, tolerance bits,
-    /// floor bits)`. [`PaymentPolicy::CriticalValue`] and
-    /// [`PaymentPolicy::CriticalValueNaive`] share a class on purpose —
-    /// their payments are bit-identical by contract (proptested), so a
-    /// snapshot taken under one may be restored under the other (the
-    /// swap is exactly how the equivalence keeps being verified on
-    /// restored engines).
+    /// floor bits)`.
     pub(crate) fn fingerprint(&self) -> (u8, u64, u64) {
         match *self {
             PaymentPolicy::None => (0, 0, 0),
-            PaymentPolicy::CriticalValue(c) | PaymentPolicy::CriticalValueNaive(c) => {
+            PaymentPolicy::CriticalValue(c) => {
                 (1, c.relative_tolerance.to_bits(), c.value_floor.to_bits())
             }
         }
@@ -187,7 +173,7 @@ pub enum EventLevel {
     Epoch,
     /// Epoch boundaries plus one event per admitted / rejected /
     /// released request. Opt-in: the log grows with traffic, so pair it
-    /// with regular [`crate::Engine::take_events`] drains.
+    /// with regular [`crate::Engine::drain_events`] drains.
     Request,
 }
 
@@ -215,9 +201,7 @@ pub struct EngineConfig {
     /// admissions, records, payments, snapshots — so this is purely a
     /// performance knob, and the snapshot config fingerprint keeps the
     /// two in **one class** (a snapshot taken under either restores
-    /// under the other), the same contract as
-    /// [`PaymentPolicy::CriticalValue`] /
-    /// [`PaymentPolicy::CriticalValueNaive`].
+    /// under the other).
     pub selection: SelectionStrategy,
     /// Event-log granularity.
     pub events: EventLevel,

@@ -48,10 +48,13 @@
 //! costs `O(suffix)` instead of `O(full run)`, and the per-winner
 //! searches are independent given the frozen epoch context, so they fan
 //! out across [`EngineConfig::pool`] with deterministic (winner-ordered)
-//! results. Payments are **bit-identical** to the naive full-rerun
-//! baseline, which remains available as
-//! [`PaymentPolicy::CriticalValueNaive`] for equivalence tests and
-//! speedup measurements (see `BENCH_PR2.json`).
+//! results. One pricer, [`Engine::price_winners_against_trace`], does
+//! this for every deployment: a single engine's commit prices its epoch
+//! against its own trace, and `ufp_shard` prices a sharded epoch
+//! against the merged trace. Payments are **bit-identical** to a
+//! full-rerun bisection (`ufp_mechanism::critical_value` over an
+//! [`EpochAllocator`] under the same frozen context), which the tests
+//! keep as an independent oracle.
 //!
 //! Feasibility is inductive: epoch `k` allocates within the residual
 //! capacities left by epochs `1..k`, so the cumulative active allocation
@@ -118,6 +121,7 @@ pub mod engine;
 pub mod event;
 pub mod health;
 pub mod metrics;
+pub mod repair;
 pub mod snapshot;
 
 pub use allocator::EpochAllocator;

@@ -161,8 +161,7 @@ pub fn encode_engine(engine: &Engine, driver: &[u8]) -> Vec<u8> {
     // strategy is deliberately absent too: `SelectionStrategy::
     // Incremental` and `::FanOut` are bit-identical by contract
     // (proptested in ufp-core's selection_equivalence suite), so they
-    // form one fingerprint class and snapshots restore across the pair —
-    // the same contract as `CriticalValue` ≡ `CriticalValueNaive`.
+    // form one fingerprint class and snapshots restore across the pair.
     let mut s = Writer::new();
     let cfg = &engine.config;
     s.put_f64(cfg.epsilon);

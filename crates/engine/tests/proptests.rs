@@ -11,14 +11,20 @@
 //!   cumulative one.
 //! * **Conservation** — accepted + rejected = arrivals, and admitted
 //!   value/revenue accounting is consistent.
+//! * **Payment oracle** — every winner's prefix-resumed payment equals,
+//!   bit for bit, the full-rerun bisection (`critical_value` over an
+//!   `EpochAllocator`) under the epoch's frozen context. The `#[ignore]`d
+//!   `paid_replay_matches_full_rerun_oracle` replays a larger paid trace
+//!   the same way; run it with `cargo test --release -p ufp-engine --
+//!   --ignored`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ufp_core::{bounded_ufp, BoundedUfpConfig, Request, RequestId, UfpInstance};
-use ufp_engine::{Arrival, Engine, EngineConfig, PaymentPolicy, ResidualFloor};
-use ufp_mechanism::{CriticalValueMechanism, UfpAllocator};
+use ufp_core::{bounded_ufp, bounded_ufp_epoch, BoundedUfpConfig, Request, RequestId, UfpInstance};
+use ufp_engine::{Arrival, Engine, EngineConfig, EpochAllocator, PaymentPolicy, ResidualFloor};
+use ufp_mechanism::{critical_value, CriticalValueMechanism, PaymentConfig, UfpAllocator};
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
@@ -50,6 +56,108 @@ fn arb_scenario() -> impl Strategy<Value = (Graph, Vec<Request>, f64)> {
         let epsilon = 0.1 * eps_decile as f64;
         (graph, reqs, epsilon)
     })
+}
+
+/// Run one epoch as plan, oracle, commit: every planned winner is
+/// priced with the full-rerun oracle (`critical_value` over an
+/// `EpochAllocator` under the plan's frozen context), and the plan's
+/// allocation is re-run untraced under the same context, before the
+/// engine commits. Returns `(request, oracle payment, charged payment)`
+/// per admission, after checking the traced plan against the untraced
+/// run and the committed admissions against the plan's winners.
+fn commit_against_oracle(engine: &mut Engine, arrivals: &[Arrival]) -> Vec<(RequestId, f64, f64)> {
+    let config = engine.config().allocator_config();
+    let plan = engine.plan_epoch(arrivals, None);
+    let ctx = plan.context();
+    let untraced = bounded_ufp_epoch(plan.instance(), &config, Some(&ctx));
+    assert_eq!(
+        untraced.run.solution.routed,
+        plan.outcome().run.solution.routed,
+        "traced plan diverged from the untraced allocation"
+    );
+    let allocator = EpochAllocator {
+        config: &config,
+        capacities: ctx.capacities,
+        usable: ctx.usable,
+        carry: ctx.carry,
+        routable: ctx.routable,
+    };
+    let base = plan.base_request_id();
+    let oracle: Vec<(RequestId, f64)> = plan
+        .outcome()
+        .run
+        .solution
+        .routed
+        .iter()
+        .map(|(rid, _)| {
+            let p = critical_value(
+                &allocator,
+                plan.instance(),
+                rid.index(),
+                &PaymentConfig::default(),
+            );
+            (RequestId(base + rid.0), p)
+        })
+        .collect();
+    let before = engine.admissions().len();
+    engine.commit_epoch(plan, None);
+    let committed = &engine.admissions()[before..];
+    assert_eq!(committed.len(), oracle.len(), "committed winners");
+    committed
+        .iter()
+        .zip(oracle)
+        .map(|(adm, (request, p))| {
+            assert_eq!(adm.request, request, "admission order");
+            (request, p, adm.payment)
+        })
+        .collect()
+}
+
+/// The paid smoke trace of the CI replay (`engine_sim --nodes 60
+/// --edges 240 --eps 0.7 --hotspots 2 --epochs 5 --mean 120 --payments
+/// critical`, seed 7), replayed with every winner checked against the
+/// full-rerun oracle. Too slow for debug builds: run with `cargo test
+/// --release -p ufp-engine -- --ignored`.
+#[test]
+#[ignore]
+fn paid_replay_matches_full_rerun_oracle() {
+    use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
+    use ufp_workloads::random_ufp::required_b;
+    let (nodes, edges, epsilon, seed) = (60, 240, 0.7, 7);
+    let b = required_b(edges, epsilon).ceil();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = generators::gnm_digraph(nodes, edges, (b, 2.0 * b), &mut rng);
+    let trace = arrival_trace(
+        &graph,
+        &ArrivalTraceConfig {
+            epochs: 5,
+            process: ArrivalProcess::Poisson { mean: 120.0 },
+            hotspot_pairs: Some(2),
+            demand_range: (0.2, 1.0),
+            ttl_range: None,
+            seed,
+            ..Default::default()
+        },
+    );
+    let mut engine = Engine::new(
+        graph,
+        EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value()),
+    );
+    let mut winners = 0;
+    let mut revenue = 0.0;
+    for (epoch, batch) in trace.iter().enumerate() {
+        for (request, oracle, charged) in commit_against_oracle(&mut engine, batch) {
+            assert_eq!(
+                charged.to_bits(),
+                oracle.to_bits(),
+                "epoch {}: payment diverged for {request:?}: {charged} vs oracle {oracle}",
+                epoch + 1
+            );
+            winners += 1;
+            revenue += charged;
+        }
+    }
+    assert!(winners > 0 && revenue > 0.0, "the trace must price winners");
 }
 
 proptest! {
@@ -165,9 +273,8 @@ proptest! {
     }
 
     /// Prefix-resumed critical-value payments are **bit-identical** to
-    /// the naive full-rerun bisection on every epoch of a churned,
-    /// multi-epoch stream over a random network — the contract that lets
-    /// the fast path replace the naive one everywhere.
+    /// the full-rerun oracle on every winner of every epoch of a
+    /// churned, multi-epoch stream over a random network.
     #[test]
     fn resumed_payments_bit_identical_to_naive_under_churn(
         (graph, requests, epsilon) in arb_scenario(),
@@ -175,15 +282,11 @@ proptest! {
         ttl in 1u32..4,
         decay in 0.0..=1.0f64,
     ) {
-        let build = |payments: PaymentPolicy, graph: Graph| {
-            Engine::new(graph, EngineConfig {
-                carry_decay: decay,
-                residual_floor: ResidualFloor::Permissive,
-                ..EngineConfig::with_epsilon(epsilon).with_payments(payments)
-            })
-        };
-        let mut fast = build(PaymentPolicy::critical_value(), graph.clone());
-        let mut slow = build(PaymentPolicy::critical_value_naive(), graph);
+        let mut engine = Engine::new(graph, EngineConfig {
+            carry_decay: decay,
+            residual_floor: ResidualFloor::Permissive,
+            ..EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value())
+        });
         let chunk = requests.len().div_ceil(batches).max(1);
         for (i, batch) in requests.chunks(chunk).enumerate() {
             let arrivals: Vec<Arrival> = batch
@@ -195,22 +298,13 @@ proptest! {
                     Arrival::permanent(r)
                 })
                 .collect();
-            let rf = fast.submit_batch(&arrivals);
-            let rs = slow.submit_batch(&arrivals);
-            prop_assert_eq!(rf.accepted, rs.accepted, "epoch {} allocations diverged", i + 1);
-            prop_assert_eq!(
-                rf.revenue.to_bits(), rs.revenue.to_bits(),
-                "epoch {} revenue diverged: {} vs {}", i + 1, rf.revenue, rs.revenue
-            );
-        }
-        prop_assert_eq!(fast.admissions().len(), slow.admissions().len());
-        for (a, b) in fast.admissions().iter().zip(slow.admissions()) {
-            prop_assert_eq!(a.request, b.request);
-            prop_assert_eq!(a.path.nodes(), b.path.nodes());
-            prop_assert_eq!(
-                a.payment.to_bits(), b.payment.to_bits(),
-                "payment diverged for {:?}: {} vs {}", a.request, a.payment, b.payment
-            );
+            for (request, oracle, charged) in commit_against_oracle(&mut engine, &arrivals) {
+                prop_assert_eq!(
+                    charged.to_bits(), oracle.to_bits(),
+                    "epoch {}: payment diverged for {:?}: {} vs oracle {}",
+                    i + 1, request, charged, oracle
+                );
+            }
         }
     }
 

@@ -7,11 +7,11 @@
 //!   expiries.
 //! * **Continuation equivalence** — a restored engine and the original
 //!   produce bit-identical epochs on any continuation stream.
-//! * **Policy-swap equivalence** — epochs priced with prefix-resumed
-//!   [`PaymentPolicy::CriticalValue`] *after a restore* stay
-//!   bit-identical to a restored engine running
-//!   [`PaymentPolicy::CriticalValueNaive`]: persistence does not break
-//!   the resumed/naive payment contract.
+//! * **Payment oracle after restore** — epochs priced with
+//!   prefix-resumed [`PaymentPolicy::CriticalValue`] *after a restore*
+//!   match the full-rerun oracle (`critical_value` over an
+//!   `EpochAllocator` under the plan's frozen context) bit for bit:
+//!   persistence does not break the payment contract.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +20,10 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use ufp_core::Request;
-use ufp_engine::{Arrival, Engine, EngineConfig, EventLevel, PaymentPolicy, ResidualFloor};
+use ufp_engine::{
+    Arrival, Engine, EngineConfig, EpochAllocator, EventLevel, PaymentPolicy, ResidualFloor,
+};
+use ufp_mechanism::{critical_value, PaymentConfig};
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
@@ -199,57 +202,61 @@ proptest! {
         prop_assert_eq!(full_observable(&original), full_observable(&restored));
     }
 
-    /// After a restore, prefix-resumed critical-value epochs remain
-    /// bit-identical to the naive full-rerun baseline — the PR 2 payment
-    /// contract survives persistence (including the deliberate
-    /// CriticalValue -> CriticalValueNaive restore that the shared
-    /// config fingerprint class permits).
+    /// After a restore, prefix-resumed critical-value epochs match the
+    /// full-rerun oracle on every winner (plan, then oracle, then
+    /// commit) — the payment contract survives persistence.
     #[test]
     fn restored_critical_value_epochs_match_naive(
         (graph, requests, epsilon) in arb_scenario(),
         ttl in 1u32..4,
         cut in 1usize..4,
     ) {
-        let config = |payments| EngineConfig {
+        let config = || EngineConfig {
             residual_floor: ResidualFloor::Permissive,
-            ..EngineConfig::with_epsilon(epsilon).with_payments(payments)
+            ..EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value())
         };
         let graph = Arc::new(graph);
-        let mut seed_engine = Engine::from_shared(
-            Arc::clone(&graph),
-            config(PaymentPolicy::critical_value()),
-        );
+        let mut seed_engine = Engine::from_shared(Arc::clone(&graph), config());
         let batches = churned_batches(&requests, ttl);
         let cut = cut.min(batches.len());
         for batch in &batches[..cut] {
             seed_engine.submit_batch(batch);
         }
         let bytes = seed_engine.snapshot_bytes();
-        // One snapshot, two futures: resumed pricing vs naive pricing.
-        let mut fast = Engine::restore_from_bytes(
-            &bytes,
-            Arc::clone(&graph),
-            config(PaymentPolicy::critical_value()),
-        ).expect("decodes under the resumed policy");
-        let mut slow = Engine::restore_from_bytes(
-            &bytes,
-            Arc::clone(&graph),
-            config(PaymentPolicy::critical_value_naive()),
-        ).expect("decodes under the naive policy");
+        let mut restored = Engine::restore_from_bytes(&bytes, Arc::clone(&graph), config())
+            .expect("decodes under the same policy");
+        let allocator_config = restored.config().allocator_config();
         for batch in &batches[cut..] {
-            let a = fast.submit_batch(batch);
-            let b = slow.submit_batch(batch);
-            prop_assert_eq!(a.accepted, b.accepted);
-            prop_assert_eq!(
-                a.revenue.to_bits(), b.revenue.to_bits(),
-                "restored resumed/naive revenue diverged: {} vs {}",
-                a.revenue, b.revenue
-            );
-        }
-        prop_assert_eq!(fast.admissions().len(), slow.admissions().len());
-        for (a, b) in fast.admissions().iter().zip(slow.admissions()) {
-            prop_assert_eq!(a.request, b.request);
-            prop_assert_eq!(a.payment.to_bits(), b.payment.to_bits());
+            let plan = restored.plan_epoch(batch, None);
+            let ctx = plan.context();
+            let allocator = EpochAllocator {
+                config: &allocator_config,
+                capacities: ctx.capacities,
+                usable: ctx.usable,
+                carry: ctx.carry,
+                routable: ctx.routable,
+            };
+            let oracle: Vec<f64> = plan
+                .outcome()
+                .run
+                .solution
+                .routed
+                .iter()
+                .map(|(rid, _)| {
+                    critical_value(&allocator, plan.instance(), rid.index(), &PaymentConfig::default())
+                })
+                .collect();
+            let before = restored.admissions().len();
+            restored.commit_epoch(plan, None);
+            let committed = &restored.admissions()[before..];
+            prop_assert_eq!(committed.len(), oracle.len());
+            for (adm, p) in committed.iter().zip(oracle) {
+                prop_assert_eq!(
+                    adm.payment.to_bits(), p.to_bits(),
+                    "restored payment diverged for {:?}: {} vs oracle {}",
+                    adm.request, adm.payment, p
+                );
+            }
         }
     }
 }

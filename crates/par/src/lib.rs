@@ -440,9 +440,21 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// The dispatch observer slot is process-global and tests run
+    /// concurrently: the recorder test holds this lock exclusively and
+    /// every other test holds it shared, so no other test's fan-out can
+    /// record into the recorder under test.
+    static OBSERVER_SLOT: RwLock<()> = RwLock::new(());
+
+    fn shared_slot() -> RwLockReadGuard<'static, ()> {
+        OBSERVER_SLOT.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn map_matches_sequential() {
+        let _slot = shared_slot();
         let items: Vec<u64> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 4, 8] {
@@ -454,6 +466,7 @@ mod tests {
 
     #[test]
     fn map_with_reuses_workspace() {
+        let _slot = shared_slot();
         // Count workspace initializations: at most `threads` per call.
         let inits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..256).collect();
@@ -475,6 +488,7 @@ mod tests {
 
     #[test]
     fn map_with_floor_matches_map_with() {
+        let _slot = shared_slot();
         let items: Vec<u64> = (0..100).collect();
         let pool = Pool::new(4);
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
@@ -486,6 +500,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
+        let _slot = shared_slot();
         let pool = Pool::new(4);
         let out: Vec<u32> = pool.map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
@@ -494,12 +509,14 @@ mod tests {
 
     #[test]
     fn single_item() {
+        let _slot = shared_slot();
         let pool = Pool::new(8);
         assert_eq!(pool.map(&[5u32], |_, &x| x * 2), vec![10]);
     }
 
     #[test]
     fn argmin_breaks_ties_toward_lower_index() {
+        let _slot = shared_slot();
         let items = vec![3.0f64, 1.0, 2.0, 1.0, 5.0];
         for threads in [1, 4] {
             let pool = Pool::new(threads);
@@ -511,6 +528,7 @@ mod tests {
 
     #[test]
     fn uneven_work_balances() {
+        let _slot = shared_slot();
         let items: Vec<u64> = (0..64).collect();
         let pool = Pool::new(4);
         let out = pool.map(&items, |_, &x| {
@@ -525,6 +543,7 @@ mod tests {
 
     #[test]
     fn zero_threads_treated_as_one() {
+        let _slot = shared_slot();
         let pool = Pool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.map(&[1u8, 2, 3], |_, &x| x), vec![1, 2, 3]);
@@ -532,6 +551,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
+        let _slot = shared_slot();
         let pool = Pool::new(2);
         let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
@@ -551,6 +571,7 @@ mod tests {
 
     #[test]
     fn many_repeated_calls_amortize() {
+        let _slot = shared_slot();
         // Regression guard for the per-call spawn problem: thousands of
         // tiny maps must complete quickly (no thread creation per call).
         let pool = Pool::new(4);
@@ -571,6 +592,7 @@ mod tests {
 
     #[test]
     fn map_mut_mutates_each_item_once() {
+        let _slot = shared_slot();
         for threads in [1, 4] {
             let pool = Pool::new(threads);
             let mut items: Vec<u64> = (0..257).collect();
@@ -593,6 +615,7 @@ mod tests {
     /// pool permanently.
     #[test]
     fn nested_dispatch_completes() {
+        let _slot = shared_slot();
         let outer = Pool::auto();
         let inner = Pool::auto();
         let items: Vec<u64> = (0..64).collect();
@@ -624,6 +647,7 @@ mod tests {
     /// that).
     #[test]
     fn deeply_nested_map_mut_completes() {
+        let _slot = shared_slot();
         let pool = Pool::auto();
         let mut shards: Vec<Vec<u64>> = (0..8).map(|s| vec![s; 32]).collect();
         let totals = pool.map_mut(&mut shards, |_, shard| {
@@ -644,6 +668,9 @@ mod tests {
     /// and tests run concurrently.
     #[test]
     fn recorder_observes_dispatch_without_perturbing() {
+        let _slot = OBSERVER_SLOT
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let items: Vec<u64> = (0..512).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 7).collect();
         let pool = Pool::new(4);
@@ -668,6 +695,7 @@ mod tests {
 
     #[test]
     fn nested_borrows_stay_valid() {
+        let _slot = shared_slot();
         // Borrowed captures (the unsafe lifetime erasure) under stress.
         let data: Vec<Vec<u64>> = (0..32).map(|i| vec![i as u64; 100]).collect();
         let pool = Pool::new(4);

@@ -45,6 +45,7 @@ use ufp_core::{
     DualWeights, EpochContext, EpochResumeTrace, Request, RequestId, StopReason, UfpInstance,
 };
 use ufp_engine::health::{run_regret_oracle, HealthState, RegretContext};
+use ufp_engine::repair::{self, ActiveFlow};
 use ufp_engine::{
     Admission, Arrival, Engine, EngineConfig, EngineEvent, EngineMetrics, EpochOverride, EpochPlan,
     EpochReport, EventLevel, PaymentPolicy, TopologyReport,
@@ -59,24 +60,6 @@ use ufp_obs::Phase;
 use crate::ledger::LeaseLedger;
 use crate::partition::{EdgeOwner, ShardPlan};
 
-/// Where a sharded deployment prices its critical-value payments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PaymentScope {
-    /// Price winners against the **merged** replay trace, under the
-    /// epoch-start frozen context — the exact probe schedule a single
-    /// global engine would run, so payments are covered by the
-    /// bit-identity contract unconditionally (guard-stopping probes
-    /// included). This is the correct, default mode.
-    #[default]
-    GlobalTrace,
-    /// Legacy per-shard pass: each shard prices its winners against its
-    /// own local trace. A probe that guard-stops sees the shard's
-    /// (smaller) dual mass instead of the global one and can misprice —
-    /// kept only as the baseline `scripts/bench_pr8.sh` measures the
-    /// global pass against.
-    ShardLocal,
-}
-
 /// Configuration of a [`ShardedEngine`].
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
@@ -89,9 +72,6 @@ pub struct ShardConfig {
     /// pass; `1.0` hands the full residual to the shards (starving the
     /// reconciler on boundary edges for that epoch).
     pub lease_fraction: f64,
-    /// Whether winners are priced against the merged global trace
-    /// (default) or the legacy shard-local one.
-    pub payment_scope: PaymentScope,
 }
 
 impl Default for ShardConfig {
@@ -99,7 +79,6 @@ impl Default for ShardConfig {
         ShardConfig {
             engine: EngineConfig::default(),
             lease_fraction: 0.5,
-            payment_scope: PaymentScope::default(),
         }
     }
 }
@@ -460,11 +439,10 @@ impl ShardedEngine {
 
         // 5. Merge-replay with the global guard; bumps land in the
         //    global carry in merged order (the order a single engine
-        //    would have applied them). When the global payment pass is
-        //    on, the merge also assembles the merged steps into one
-        //    global resume trace over the epoch's batch.
-        let global_payments = self.config.payment_scope == PaymentScope::GlobalTrace
-            && !matches!(self.config.engine.payments, PaymentPolicy::None);
+        //    would have applied them). When payments are on, the merge
+        //    also assembles the merged steps into one global resume
+        //    trace over the epoch's batch.
+        let global_payments = !matches!(self.config.engine.payments, PaymentPolicy::None);
         let merge = {
             let _span = obs.span_attr(
                 Phase::ShardMergeReplay,
@@ -519,9 +497,8 @@ impl ShardedEngine {
         });
 
         // 6b. Commit surviving prefixes in parallel (each with its
-        //     globally-priced payment slice when the pass ran, or the
-        //     legacy shard-local pricing otherwise), then mirror into
-        //     the global state in merged order.
+        //     globally-priced payment slice when payments are on), then
+        //     mirror into the global state in merged order.
         let adm_base: Vec<u32> = (0..shards)
             .map(|s| self.engines[s].admissions().len() as u32)
             .collect();
@@ -791,7 +768,7 @@ impl ShardedEngine {
         }
 
         // Global eviction decision against the post-mutation overlay.
-        let evict = self.select_evictions();
+        let evict = repair::select_evictions(&self.active_flows(), &self.topology);
         // Authoritative per-eviction details, captured before the owner
         // engines mutate their ledgers.
         let details: Vec<(RequestId, f64, Option<u64>)> = evict
@@ -854,14 +831,7 @@ impl ShardedEngine {
             let next_epoch = epoch + 1;
             for &(request, _, expires_at) in &details {
                 let request = self.requests[request.index()];
-                let arrival = match expires_at {
-                    None => Some(Arrival::permanent(request)),
-                    Some(exp) if exp > next_epoch => {
-                        Some(Arrival::with_ttl(request, (exp - next_epoch) as u32))
-                    }
-                    Some(_) => None,
-                };
-                if let Some(a) = arrival {
+                if let Some(a) = repair::readmission(request, expires_at, next_epoch) {
                     self.readmit_queue.push(a);
                     readmissions += 1;
                 }
@@ -894,64 +864,20 @@ impl ShardedEngine {
         })
     }
 
-    /// Deterministic global eviction scan — the sharded mirror of the
-    /// single engine's: loads summed over the global admissions in
-    /// admission order, candidates visited in (admission-epoch,
-    /// global-id) order, evicted while touching a still-violating edge.
-    fn select_evictions(&self) -> Vec<usize> {
-        let m = self.graph.num_edges();
-        let mut loads = vec![0.0f64; m];
-        for sa in &self.admissions {
-            let adm = &self.engine(sa.owner).admissions()[sa.local_index as usize];
-            if adm.released {
-                continue;
-            }
-            let d = self.requests[sa.request.index()].demand;
-            for &e in adm.path.edges() {
-                loads[e.index()] += d;
-            }
-        }
-        let over = |load: f64, cap: f64| load > cap * (1.0 + 1e-9) + 1e-9;
-        let mut violating: Vec<bool> = (0..m)
-            .map(|e| over(loads[e], self.topology.effective_capacity(EdgeId(e as u32))))
-            .collect();
-        let mut remaining = violating.iter().filter(|&&v| v).count();
-        if remaining == 0 {
-            return Vec::new();
-        }
-        let active = |i: usize| {
-            let sa = self.admissions[i];
-            !self.engine(sa.owner).admissions()[sa.local_index as usize].released
-        };
-        let mut order: Vec<usize> = (0..self.admissions.len()).filter(|&i| active(i)).collect();
-        order.sort_by_key(|&i| {
-            let sa = self.admissions[i];
-            let adm = &self.engine(sa.owner).admissions()[sa.local_index as usize];
-            (adm.epoch, sa.request.0)
-        });
-        let mut evict = Vec::new();
-        for i in order {
-            if remaining == 0 {
-                break;
-            }
-            let sa = self.admissions[i];
-            let adm = &self.engine(sa.owner).admissions()[sa.local_index as usize];
-            if !adm.path.edges().iter().any(|e| violating[e.index()]) {
-                continue;
-            }
-            let d = self.requests[sa.request.index()].demand;
-            for &e in adm.path.edges() {
-                loads[e.index()] -= d;
-                let was = violating[e.index()];
-                let now = over(loads[e.index()], self.topology.effective_capacity(e));
-                violating[e.index()] = now;
-                if was && !now {
-                    remaining -= 1;
-                }
-            }
-            evict.push(i);
-        }
-        evict
+    /// The active global admissions in global admission order, as the
+    /// shared repair scan sees them (eviction key: admission epoch,
+    /// global id) — the same scan a single engine runs over its own
+    /// admissions.
+    fn active_flows(&self) -> Vec<ActiveFlow<'_>> {
+        self.admissions
+            .iter()
+            .enumerate()
+            .filter_map(|(g, sa)| {
+                let adm = &self.engine(sa.owner).admissions()[sa.local_index as usize];
+                let demand = self.requests[sa.request.index()].demand;
+                (!adm.released).then_some((g, &adm.path, demand, (adm.epoch, sa.request.0)))
+            })
+            .collect()
     }
 
     /// Drain the re-admission queue (see [`Engine::drain_readmissions`]).
@@ -970,27 +896,7 @@ impl ShardedEngine {
     /// (topology-aware) capacities (see
     /// [`Engine::verify_active_feasibility`]).
     pub fn verify_active_feasibility(&self) -> Result<(), String> {
-        let m = self.graph.num_edges();
-        let mut loads = vec![0.0f64; m];
-        for sa in &self.admissions {
-            let adm = &self.engine(sa.owner).admissions()[sa.local_index as usize];
-            if adm.released {
-                continue;
-            }
-            let d = self.requests[sa.request.index()].demand;
-            for &e in adm.path.edges() {
-                loads[e.index()] += d;
-            }
-        }
-        for (e, &load) in loads.iter().enumerate() {
-            let cap = self.topology.effective_capacity(EdgeId(e as u32));
-            if load > cap * (1.0 + 1e-9) + 1e-9 {
-                return Err(format!(
-                    "edge {e} overloaded: load {load} > effective capacity {cap}"
-                ));
-            }
-        }
-        Ok(())
+        repair::verify_feasibility(&self.active_flows(), &self.topology)
     }
 
     /// Mirror this epoch's per-engine TTL releases into the global

@@ -34,7 +34,8 @@
 //! merged dual mass crosses `e^{ε(B−1)}`), every surviving winner is
 //! priced by critical-value bisection **against that merged trace**
 //! under the epoch-start context (the probe schedule a single global
-//! engine would run — [`PaymentScope::GlobalTrace`]), then cross-shard
+//! engine would run, through the same pricer,
+//! [`ufp_engine::Engine::price_winners_against_trace`]), then cross-shard
 //! requests route sequentially against the post-epoch global
 //! residuals. Everything after the parallel plans is arithmetic replay
 //! plus read-only probe replays — no new shortest-path state — so the
@@ -65,6 +66,6 @@ pub mod ledger;
 pub mod partition;
 pub mod snapshot;
 
-pub use engine::{PaymentScope, ShardAdmission, ShardConfig, ShardStats, ShardedEngine};
+pub use engine::{ShardAdmission, ShardConfig, ShardStats, ShardedEngine};
 pub use ledger::LeaseLedger;
 pub use partition::{EdgeCut, EdgeOwner, HotspotPairs, NodeBlocks, Partitioner, ShardPlan};

@@ -30,7 +30,7 @@ use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::residual::ResidualCaps;
 use ufp_netgraph::topology::Topology;
 
-use crate::engine::{lease_gauge_names, PaymentScope, ShardAdmission, ShardConfig, ShardedEngine};
+use crate::engine::{lease_gauge_names, ShardAdmission, ShardConfig, ShardedEngine};
 use crate::ledger::LeaseLedger;
 use crate::partition::ShardPlan;
 
@@ -44,15 +44,11 @@ const MAGIC: &[u8; 8] = b"UFPSHRD\0";
 /// restoring onto a mutated topology is a typed refusal.
 const FORMAT_VERSION: u32 = 3;
 
-/// Wire tag for [`PaymentScope`] (pinned like the lease fraction: a
-/// snapshot restored under a different pricing mode would silently
-/// change every later epoch's payments).
-fn payment_scope_tag(scope: PaymentScope) -> u8 {
-    match scope {
-        PaymentScope::GlobalTrace => 0,
-        PaymentScope::ShardLocal => 1,
-    }
-}
+/// Payment-scope wire byte. Paid epochs are always priced against the
+/// merged trace, written as `0`; the byte keeps the v3 layout, and a
+/// snapshot carrying any other scope is refused (its later payments
+/// would not continue bit-identically).
+const PAYMENT_SCOPE_MERGED: u8 = 0;
 
 /// Serialize the full sharded engine state.
 pub fn encode_sharded(engine: &ShardedEngine) -> Vec<u8> {
@@ -62,7 +58,7 @@ pub fn encode_sharded(engine: &ShardedEngine) -> Vec<u8> {
     w.put_u64(shards as u64);
     w.put_u64(engine.plan.digest());
     w.put_f64(engine.config.lease_fraction);
-    w.put_u8(payment_scope_tag(engine.config.payment_scope));
+    w.put_u8(PAYMENT_SCOPE_MERGED);
     // Dynamic-topology overlay: full event log plus the (version,
     // fingerprint) pair restore replays to and cross-checks — same
     // scheme as the engine snapshot's topology section.
@@ -204,7 +200,7 @@ pub fn decode_sharded(
             context: "lease fraction",
         });
     }
-    if r.get_u8("payment scope")? != payment_scope_tag(config.payment_scope) {
+    if r.get_u8("payment scope")? != PAYMENT_SCOPE_MERGED {
         return Err(CodecError::ConfigMismatch {
             context: "payment scope",
         });

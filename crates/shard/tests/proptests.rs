@@ -116,7 +116,6 @@ fn run_pair_and_assert_identical(
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(graph), cfg);
@@ -198,7 +197,6 @@ proptest! {
         let shard_config = ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         };
         let plan = NodeBlocks.partition(&graph, shards);
         let mut unbroken =
@@ -258,7 +256,6 @@ proptest! {
             ShardConfig {
                 engine: cfg.clone(),
                 lease_fraction: 0.5,
-                ..Default::default()
             },
         );
         let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -345,7 +342,6 @@ proptest! {
             ShardConfig {
                 engine: cfg,
                 lease_fraction: 0.5,
-                ..Default::default()
             },
         );
         let split = (trace.len() / 2).max(1);
@@ -392,7 +388,6 @@ proptest! {
         let shard_config = ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         };
         let plan = NodeBlocks.partition(&graph, shards);
         let mut unbroken =

@@ -15,14 +15,17 @@
 //! * general cross-shard traffic stays feasible, deterministic, and
 //!   respects the lease ledger;
 //! * snapshots restore and continue in lockstep, and refuse a changed
-//!   shard layout.
+//!   shard layout or a payment scope other than the merged trace.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ufp_engine::{Arrival, Engine, EngineConfig, EngineEvent, EventLevel, PaymentPolicy};
+use ufp_engine::codec::fnv64;
+use ufp_engine::{
+    Arrival, CodecError, Engine, EngineConfig, EngineEvent, EventLevel, PaymentPolicy,
+};
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
 use ufp_shard::{NodeBlocks, Partitioner, ShardConfig, ShardedEngine};
@@ -121,7 +124,6 @@ fn zero_cross_traffic_matches_single_engine_with_payments_and_churn() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -179,7 +181,6 @@ fn single_shard_on_connected_graph_matches_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -235,7 +236,6 @@ fn guard_pressure_truncates_exactly_like_a_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -286,7 +286,6 @@ fn unroutable_cross_paid_traffic_matches_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -321,7 +320,6 @@ fn cross_traffic_is_feasible_deterministic_and_leased() {
             ShardConfig {
                 engine: cfg.clone(),
                 lease_fraction: 0.6,
-                ..Default::default()
             },
         )
     };
@@ -376,7 +374,6 @@ fn zero_lease_fraction_starves_shards_of_boundary_edges() {
         ShardConfig {
             engine: cfg,
             lease_fraction: 0.0,
-            ..Default::default()
         },
     );
     for batch in &trace {
@@ -407,7 +404,6 @@ fn snapshot_restores_and_continues_in_lockstep() {
     let shard_config = ShardConfig {
         engine: cfg,
         lease_fraction: 0.5,
-        ..Default::default()
     };
     let plan = NodeBlocks.partition(&graph, 4);
     let mut unbroken = ShardedEngine::new(Arc::clone(&graph), plan.clone(), shard_config.clone());
@@ -462,7 +458,6 @@ fn snapshot_refuses_changed_layout_or_lease() {
     let shard_config = ShardConfig {
         engine: cfg,
         lease_fraction: 0.5,
-        ..Default::default()
     };
     let plan = NodeBlocks.partition(&graph, 4);
     let mut engine = ShardedEngine::new(Arc::clone(&graph), plan.clone(), shard_config.clone());
@@ -485,6 +480,34 @@ fn snapshot_refuses_changed_layout_or_lease() {
     assert!(
         ShardedEngine::restore_from_bytes(&bytes, Arc::clone(&graph), plan.clone(), other_cfg,)
             .is_err()
+    );
+    // Payment-scope byte other than the merged-trace scope, with a valid
+    // checksum → typed refusal. Container: magic (8), body length (8),
+    // body checksum (8); body: version (4), shard count (8), partition
+    // digest (8), lease fraction (8), then the scope byte.
+    let scope_at = 24 + 4 + 8 + 8 + 8;
+    assert_eq!(
+        bytes[scope_at], 0,
+        "snapshots record the merged-trace scope"
+    );
+    let mut other_scope = bytes.clone();
+    other_scope[scope_at] = 1;
+    let checksum = fnv64(&other_scope[24..]);
+    other_scope[16..24].copy_from_slice(&checksum.to_le_bytes());
+    let restored = ShardedEngine::restore_from_bytes(
+        &other_scope,
+        Arc::clone(&graph),
+        plan.clone(),
+        shard_config.clone(),
+    );
+    assert!(
+        matches!(
+            restored,
+            Err(CodecError::ConfigMismatch {
+                context: "payment scope"
+            })
+        ),
+        "a foreign payment scope must be refused as a config mismatch"
     );
     // Corrupt checksum → refused.
     let mut bad = bytes.clone();
@@ -522,7 +545,6 @@ fn event_log_shape_matches_engine_contract() {
         ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     for batch in &trace {

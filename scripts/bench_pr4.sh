@@ -20,7 +20,7 @@
 # every deterministic field — admissions, revenue, stop counters,
 # utilization — byte for byte; only the "timing" object and the
 # "selection" config field may differ. The diff below enforces that
-# in-script, like scripts/bench_pr2.sh does for the payment paths.
+# in-script.
 # Expect the fan-out rows at 10^5 (allocation) and 300 (payments) to
 # take several minutes each — that is the point.
 #

@@ -31,15 +31,13 @@
 #
 # Usage: cargo build --release && scripts/bench_pr5.sh
 #
-# Pinned to --payment-scope shard-local: this snapshot measures PR 5's
-# sharding win as shipped (per-shard payment probes). PR 8 made the
-# global merged-trace pass the default and prices its extra probe cost
-# separately in scripts/bench_pr8.sh. On these zero-cross, guard-free
-# traces both scopes are byte-identical to the single engine.
+# BENCH_PR5.json was recorded with per-shard payment probes, a pass
+# since retired: paid rows now run the merged-trace pricer, so their
+# sharded timings are not comparable with the recorded ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BIN=./target/release/engine_sim
-COMMON="--nodes 1000 --edges 5000 --eps 0.5 --hotspots 32 --communities 4 --seed 7 --payment-scope shard-local"
+COMMON="--nodes 1000 --edges 5000 --eps 0.5 --hotspots 32 --communities 4 --seed 7"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
