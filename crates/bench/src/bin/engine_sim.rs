@@ -11,9 +11,9 @@
 //! object (total wall-clock, latency percentiles, throughput) that is
 //! explicitly *not* deterministic — strip it before byte-comparing runs.
 //!
-//! Payments: `--payments critical` prices every admission with
-//! prefix-resumed critical-value bisection (`--payments none`, the
-//! default, charges nothing). Sharded runs price against the merged
+//! Payments: `--payments critical` prices every admission at its exact
+//! critical value, one prefix-resumed suffix run per winner
+//! (`--payments none`, the default, charges nothing). Sharded runs price against the merged
 //! trace through the same pricer.
 //!
 //! Selection: `--selection incremental` (default) drives each epoch's

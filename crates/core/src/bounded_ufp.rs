@@ -234,9 +234,9 @@ struct ResumeStep {
 /// agent's declared value is *lowered*, the selection sequence is
 /// unchanged up to the step that originally selected that agent — its
 /// score `(d/v)·|p|` only rises, and every earlier argmin already beat
-/// it. Critical-value bisection therefore only needs to re-run the
-/// *suffix* from that step for each probe, which is what makes truthful
-/// pricing viable at 10⁴-request epochs.
+/// it. Pricing that agent ([`bounded_ufp_epoch_critical_value`])
+/// therefore only re-runs the *suffix* from that step, once, which is
+/// what makes truthful pricing viable at 10⁴-request epochs.
 #[derive(Clone, Debug, Default)]
 pub struct EpochResumeTrace {
     steps: Vec<ResumeStep>,
@@ -304,8 +304,8 @@ impl EpochResumeTrace {
     /// yields an [`EpochResumeTrace`] over the global instance that
     /// behaves exactly like one produced by [`bounded_ufp_epoch_traced`]:
     /// [`Self::checkpoint`] / [`Self::prefix_outcome`] replay it by
-    /// arithmetic, and [`bounded_ufp_epoch_resume_watch`] prices winners
-    /// against it with the same O(suffix) resume discipline.
+    /// arithmetic, and [`bounded_ufp_epoch_critical_value`] prices
+    /// winners against it with the same O(suffix) resume discipline.
     ///
     /// `bumps` must hold one line-10 exponent per `path.edges()` entry,
     /// and `routed_value_before` must equal the sum of the previously
@@ -394,11 +394,8 @@ impl EpochResumeTrace {
 }
 
 /// Materialized state of an epoch run after some step prefix — the
-/// resumable snapshot handed to [`bounded_ufp_epoch_resume`] /
-/// [`bounded_ufp_epoch_resume_watch`]. After
-/// [`EpochCheckpoint::strip_outcome_state`], cloning is `O(m + n)`
-/// (weight vectors plus bookkeeping) — what each bisection probe costs
-/// up front instead of a full re-run.
+/// resumable snapshot handed to [`bounded_ufp_epoch_resume`] and
+/// [`bounded_ufp_epoch_critical_value`].
 #[derive(Clone, Debug)]
 pub struct EpochCheckpoint {
     state: EpochRunState,
@@ -408,25 +405,6 @@ impl EpochCheckpoint {
     /// Number of selection steps already applied in this snapshot.
     pub fn steps(&self) -> usize {
         self.state.steps_done
-    }
-
-    /// Drop the accumulated prefix solution, iteration records, and
-    /// carry from this snapshot. The result still answers
-    /// selection-membership questions exactly (everything the loop's
-    /// control flow reads — weights, residuals, remaining set, routed
-    /// value — is retained), so it is the right thing to clone per
-    /// [`bounded_ufp_epoch_resume_watch`] probe: the prefix paths and
-    /// records are dead weight there, and a deep prefix would otherwise
-    /// be re-copied on every probe. Do **not** feed a stripped
-    /// checkpoint to [`bounded_ufp_epoch_resume`] if you need the full
-    /// outcome — its solution and trace would be missing the prefix.
-    pub fn strip_outcome_state(mut self) -> EpochCheckpoint {
-        self.state.solution.routed.clear();
-        self.state.solution.routed.shrink_to_fit();
-        self.state.records.clear();
-        self.state.records.shrink_to_fit();
-        self.state.carry = None;
-        self
     }
 }
 
@@ -441,9 +419,7 @@ struct EpochRunState {
     solution: UfpSolution,
     routed_value: f64,
     records: Vec<IterationRecord>,
-    /// Selection steps applied so far. Tracked separately from
-    /// `records.len()` so stripped probe checkpoints keep reporting
-    /// their position ([`EpochCheckpoint::steps`]).
+    /// Selection steps applied so far ([`EpochCheckpoint::steps`]).
     steps_done: usize,
 }
 
@@ -499,15 +475,6 @@ impl EpochRunState {
         self.remaining.retain(|r| *r != selected);
         self.steps_done += 1;
     }
-}
-
-/// How one call to [`run_epoch_loop`] ended.
-enum LoopEnd {
-    /// The loop stopped for one of Algorithm 1's reasons.
-    Stopped(StopReason),
-    /// The watched request was about to be selected; the state is frozen
-    /// at the top of that iteration (nothing of the step applied).
-    WatchSelected,
 }
 
 /// Shared input validation for all epoch entry points.
@@ -566,11 +533,9 @@ fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 
 ///
 /// * `record_steps` — when set, every executed step is appended as a
 ///   [`ResumeStep`] (the traced run).
-/// * `watch` — when set, the loop returns [`LoopEnd::WatchSelected`]
-///   *before* applying the step that would select the watched request,
-///   leaving the state at the top of that iteration. Payment probes use
-///   this both as an early exit ("it wins at this declared value") and
-///   as a deeper checkpoint for every later probe at a lower value.
+/// * `observer` — when set, it sees every iteration's argmin and score
+///   *before* the step is applied (the pricing suffix run); it reads the
+///   state and never changes the run.
 #[allow(clippy::too_many_arguments)] // internal: one call site per entry point
 fn run_epoch_loop(
     instance: &UfpInstance,
@@ -580,8 +545,8 @@ fn run_epoch_loop(
     ln_guard: f64,
     state: &mut EpochRunState,
     record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    observer: Option<&mut CriticalWatch<'_>>,
+) -> StopReason {
     match config.selection {
         SelectionStrategy::FanOut => run_epoch_loop_fanout(
             instance,
@@ -591,7 +556,7 @@ fn run_epoch_loop(
             ln_guard,
             state,
             record_steps,
-            watch,
+            observer,
         ),
         SelectionStrategy::Incremental => run_epoch_loop_incremental(
             instance,
@@ -601,7 +566,7 @@ fn run_epoch_loop(
             ln_guard,
             state,
             record_steps,
-            watch,
+            observer,
         ),
     }
 }
@@ -685,17 +650,17 @@ fn run_epoch_loop_fanout(
     ln_guard: f64,
     state: &mut EpochRunState,
     mut record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    mut observer: Option<&mut CriticalWatch<'_>>,
+) -> StopReason {
     let mut path_scratch = Dijkstra::new(instance.graph().num_nodes());
     let mut path_buf = Path::trivial(NodeId(0));
     loop {
         if state.remaining.is_empty() {
-            return LoopEnd::Stopped(StopReason::Exhausted);
+            return StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return LoopEnd::Stopped(StopReason::Guard);
+            return StopReason::Guard;
         }
 
         // Cost model only — results are identical either way (see
@@ -744,11 +709,11 @@ fn run_epoch_loop_fanout(
             }
         }
         let Some((score, idx)) = best else {
-            return LoopEnd::Stopped(StopReason::NoPath);
+            return StopReason::NoPath;
         };
         let selected = findings[idx].request;
-        if watch == Some(selected) {
-            return LoopEnd::WatchSelected;
+        if let Some(o) = observer.as_deref_mut() {
+            o.observe(state, selected, score);
         }
         // Materialize only the winner's path: taken from the fan-out if
         // it collected paths, re-derived with one targeted query into
@@ -785,8 +750,8 @@ fn run_epoch_loop_fanout(
 
 /// The incremental loop: dirty-set path cache + lazy score heap (see
 /// [`crate::selection`]). Selector state is *derived* — rebuildable from
-/// the loop state at any point — so checkpoints, resume traces, watch
-/// probes, and snapshots need no knowledge of it.
+/// the loop state at any point — so checkpoints, resume traces, pricing
+/// runs, and snapshots need no knowledge of it.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_incremental(
     instance: &UfpInstance,
@@ -796,16 +761,16 @@ fn run_epoch_loop_incremental(
     ln_guard: f64,
     state: &mut EpochRunState,
     mut record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    mut observer: Option<&mut CriticalWatch<'_>>,
+) -> StopReason {
     let mut selector = IncrementalSelector::new(instance);
     loop {
         if state.remaining.is_empty() {
-            return LoopEnd::Stopped(StopReason::Exhausted);
+            return StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return LoopEnd::Stopped(StopReason::Guard);
+            return StopReason::Guard;
         }
 
         let selection = {
@@ -821,10 +786,10 @@ fn run_epoch_loop_incremental(
             selector.select(&state.remaining, &inputs)
         };
         let Some((selected, score)) = selection else {
-            return LoopEnd::Stopped(StopReason::NoPath);
+            return StopReason::NoPath;
         };
-        if watch == Some(selected) {
-            return LoopEnd::WatchSelected;
+        if let Some(o) = observer.as_deref_mut() {
+            o.observe(state, selected, score);
         }
         // The winner's path comes straight from the cache: its exactness
         // is the invariant the dirty-set bookkeeping maintains. The
@@ -920,7 +885,7 @@ fn run_epoch(
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = EpochRunState::init(instance, ctx);
-    let end = run_epoch_loop(
+    let stop_reason = run_epoch_loop(
         instance,
         config,
         usable,
@@ -930,14 +895,11 @@ fn run_epoch(
         record_steps,
         None,
     );
-    let LoopEnd::Stopped(stop_reason) = end else {
-        unreachable!("unwatched runs always stop")
-    };
     if config.obs.is_enabled() {
         // The paper's internal signals, gauged once per epoch run:
         // remaining guard headroom `ε(B−1) − ln D₁`, dual-weight
         // growth, and how often the log-sum-exp scale re-centered.
-        // Counterfactual payment probes (the resume entry points) are
+        // Counterfactual pricing runs (the resume entry points) are
         // deliberately not gauged — they would drown the real epoch's
         // signal in replay noise.
         let obs = &config.obs;
@@ -970,39 +932,74 @@ pub fn bounded_ufp_epoch_resume(
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = checkpoint.state;
-    let end = run_epoch_loop(
+    let stop_reason = run_epoch_loop(
         instance, config, usable, b, ln_guard, &mut state, None, None,
     );
-    let LoopEnd::Stopped(stop_reason) = end else {
-        unreachable!("unwatched runs always stop")
-    };
     finish_outcome(config, ctx.is_some(), state, stop_reason, ln_guard)
 }
 
-/// Resume an epoch run from `checkpoint`, watching for `watch`.
+/// A winner's exact critical value (Theorem 2.3), read off one
+/// counterfactual suffix run by [`bounded_ufp_epoch_critical_value`],
+/// together with the step and rival that set it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CriticalPrice {
+    /// The critical value, clamped to `[0, declared]`: the agent is
+    /// selected when it declares more and not when it declares less.
+    pub value: f64,
+    /// The binding step, in the trace's step numbering: the step of the
+    /// agent-absent run where the minimum was attained or, for a zero
+    /// price, the step at which that run ran out of rivals.
+    pub step: usize,
+    /// The request the agent has to outbid at `step` (that step's argmin
+    /// in the agent-absent run); `None` for a zero price.
+    pub rival: Option<RequestId>,
+    /// How the agent-absent suffix run stopped.
+    pub stop: StopReason,
+}
+
+/// Price `agent` exactly with one counterfactual suffix run.
 ///
-/// Returns `Some(deeper)` — the state frozen at the top of the iteration
-/// that selects `watch` (the step itself *not* applied) — as soon as the
-/// continued run would select it, or `None` if the run stops without
-/// selecting it. The returned checkpoint is a valid resume point for any
-/// further probe that declares `watch` at a *lower* value than this run
-/// did (its score only rises, so the shared prefix only grows), which
-/// lets bisection advance its checkpoint monotonically toward the
-/// critical step.
-pub fn bounded_ufp_epoch_resume_watch(
+/// `checkpoint` must sit at or before the step that selected `agent` in
+/// a traced run of `instance` under the same `config` and `ctx`
+/// (normally exactly at it). Declaring any value `v` below its bid, the
+/// agent leaves every earlier selection alone (Lemma 3.4), and the run
+/// follows the *agent-absent* run from the checkpoint until the agent is
+/// chosen. At step `k` of that run the agent is chosen iff
+/// `(d/v)·dist_k < best_k` (ties to the lower id), where `best_k` is the
+/// step's argmin score and `dist_k` the agent's shortest distance under
+/// its own edge filter (usable ∧ routable, and residual ≥ `d` under
+/// `respect_residual`). The critical value is therefore
+/// `min_k d·dist_k / best_k`, and 0 when the agent-absent run ends
+/// `Exhausted` or `NoPath` while the guard still has room and the agent
+/// is routable; a `Guard` stop adds nothing.
+///
+/// The agent's distance comes from one targeted query, cached and re-run
+/// only when a step's path crosses the cached path or the dual weights
+/// re-centre — the invariant the incremental selector's path cache
+/// rests on — so pricing costs one suffix run plus a few agent queries.
+/// `FanOut` and `Incremental` selection return bit-identical prices.
+pub fn bounded_ufp_epoch_critical_value(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
     ctx: Option<&EpochContext<'_>>,
     checkpoint: EpochCheckpoint,
-    watch: RequestId,
-) -> Option<EpochCheckpoint> {
+    agent: RequestId,
+) -> CriticalPrice {
     validate_epoch_inputs(instance, config, ctx);
     let b = epoch_bound_b(instance, ctx);
     let ln_guard = config.epsilon * (b - 1.0);
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = checkpoint.state;
-    match run_epoch_loop(
+    let before = state.remaining.len();
+    state.remaining.retain(|r| *r != agent);
+    assert_eq!(
+        state.remaining.len() + 1,
+        before,
+        "the priced agent must still be unselected at the checkpoint"
+    );
+    let mut watch = CriticalWatch::new(instance, config, usable, agent);
+    let stop = run_epoch_loop(
         instance,
         config,
         usable,
@@ -1010,10 +1007,152 @@ pub fn bounded_ufp_epoch_resume_watch(
         ln_guard,
         &mut state,
         None,
-        Some(watch),
-    ) {
-        LoopEnd::WatchSelected => Some(EpochCheckpoint { state }),
-        LoopEnd::Stopped(_) => None,
+        Some(&mut watch),
+    );
+    watch.finish(&state, stop, ln_guard)
+}
+
+/// The pricing run's step observer: follows one agent's exact distance
+/// through the agent-absent run and keeps the running minimum of its
+/// per-step threshold `d·dist_k / best_k`.
+struct CriticalWatch<'a> {
+    instance: &'a UfpInstance,
+    config: &'a BoundedUfpConfig,
+    usable: Option<&'a [bool]>,
+    agent: RequestId,
+    scratch: Dijkstra,
+    /// The agent's cached shortest path, and the same edges as a mask.
+    path: Path,
+    on_path: Vec<bool>,
+    /// Cached distance: `None` before the first query, `Some(None)` once
+    /// the agent is unroutable — final, since within an epoch weights
+    /// only grow and residuals only shrink.
+    dist: Option<Option<f64>>,
+    /// Weight shift the cached distance was computed under.
+    shift: f64,
+    /// Steps applied when the cache was last checked.
+    steps: usize,
+    /// Running minimum `(value, step, rival)`.
+    best: Option<(f64, usize, Option<RequestId>)>,
+}
+
+impl<'a> CriticalWatch<'a> {
+    fn new(
+        instance: &'a UfpInstance,
+        config: &'a BoundedUfpConfig,
+        usable: Option<&'a [bool]>,
+        agent: RequestId,
+    ) -> Self {
+        let graph = instance.graph();
+        CriticalWatch {
+            instance,
+            config,
+            usable,
+            agent,
+            scratch: Dijkstra::new(graph.num_nodes()),
+            path: Path::trivial(instance.request(agent).src),
+            on_path: vec![false; graph.num_edges()],
+            dist: None,
+            shift: 0.0,
+            steps: 0,
+            best: None,
+        }
+    }
+
+    /// One iteration of the agent-absent run chose `rival` at `score`:
+    /// the agent is chosen instead iff it declares more than
+    /// `d·dist / score`.
+    fn observe(&mut self, state: &EpochRunState, rival: RequestId, score: f64) {
+        let Some(dist) = self.agent_distance(state) else {
+            return;
+        };
+        let threshold = if score > 0.0 {
+            self.instance.request(self.agent).demand * dist / score
+        } else if dist == 0.0 && self.agent < rival {
+            0.0
+        } else {
+            // A zero-score rival beats the agent at every declaration.
+            return;
+        };
+        self.offer(threshold, state.steps_done, Some(rival));
+    }
+
+    /// Close the run: a run that ran out of rivals with guard room left
+    /// prices a still-routable agent at zero.
+    fn finish(mut self, state: &EpochRunState, stop: StopReason, ln_guard: f64) -> CriticalPrice {
+        let ran_dry = match stop {
+            // The loop counts exhaustion before it checks the guard; with
+            // the agent present the guard check comes first.
+            StopReason::Exhausted => state.weights.ln_dual_sum() <= ln_guard,
+            StopReason::NoPath => true,
+            StopReason::Guard | StopReason::IterationCap => false,
+        };
+        if ran_dry && self.agent_distance(state).is_some() {
+            self.offer(0.0, state.steps_done, None);
+        }
+        let declared = self.instance.request(self.agent).value;
+        let (value, step, rival) = self.best.unwrap_or((declared, state.steps_done, None));
+        CriticalPrice {
+            value: value.clamp(0.0, declared),
+            step,
+            rival,
+            stop,
+        }
+    }
+
+    fn offer(&mut self, value: f64, step: usize, rival: Option<RequestId>) {
+        if self.best.is_none_or(|(v, _, _)| value < v) {
+            self.best = Some((value, step, rival));
+        }
+    }
+
+    /// The agent's exact current distance, re-queried only when the last
+    /// applied step crossed its cached path or the weights re-centred.
+    /// Called once per iteration, so at most one step applied since.
+    fn agent_distance(&mut self, state: &EpochRunState) -> Option<f64> {
+        let fresh = match self.dist {
+            None => false,
+            Some(None) => return None,
+            Some(Some(_)) => {
+                debug_assert!(state.steps_done <= self.steps + 1, "one step per call");
+                state.weights.shift() == self.shift
+                    && (state.steps_done == self.steps
+                        || state.solution.routed.last().is_some_and(|(_, p)| {
+                            p.edges().iter().all(|e| !self.on_path[e.index()])
+                        }))
+            }
+        };
+        self.steps = state.steps_done;
+        if !fresh {
+            let _span = self.config.obs.span(Phase::SelectionDijkstra);
+            let req = self.instance.request(self.agent);
+            let usable = self.usable;
+            let gate = self.config.respect_residual.then_some(&state.residual);
+            self.scratch.run(
+                self.instance.graph(),
+                state.weights.weights(),
+                req.src,
+                Targets::One(req.dst),
+                |e| {
+                    usable.is_none_or(|u| u[e.index()])
+                        && gate.is_none_or(|res| res[e.index()] >= req.demand - 1e-12)
+                },
+            );
+            for e in self.path.edges() {
+                self.on_path[e.index()] = false;
+            }
+            let dist = self.scratch.distance(req.dst);
+            if dist.is_some() {
+                let found = self.scratch.path_to_into(req.dst, &mut self.path);
+                debug_assert!(found, "settled target must reconstruct");
+                for e in self.path.edges() {
+                    self.on_path[e.index()] = true;
+                }
+            }
+            self.dist = Some(dist);
+            self.shift = state.weights.shift();
+        }
+        self.dist.flatten()
     }
 }
 
@@ -1604,48 +1743,231 @@ mod tests {
         }
     }
 
+    /// Price `rid` from the checkpoint at its selection step in the
+    /// traced run — how the engine prices a winner.
+    fn price(inst: &UfpInstance, cfg: &BoundedUfpConfig, rid: RequestId) -> CriticalPrice {
+        let (_, trace) = bounded_ufp_epoch_traced(inst, cfg, None);
+        let k = trace.selection_step(rid).expect("priced agent must win");
+        let ckpt = trace.checkpoint(inst, cfg, None, k);
+        bounded_ufp_epoch_critical_value(inst, cfg, None, ckpt, rid)
+    }
+
+    /// Whether `rid` is selected by a full re-run declaring `value`, and
+    /// at which step.
+    fn selected_at(
+        inst: &UfpInstance,
+        cfg: &BoundedUfpConfig,
+        rid: RequestId,
+        value: f64,
+    ) -> Option<usize> {
+        let probe = inst.with_declared_type(rid, inst.request(rid).demand, value);
+        bounded_ufp_epoch(&probe, cfg, None)
+            .run
+            .solution
+            .routed
+            .iter()
+            .position(|(r, _)| *r == rid)
+    }
+
     #[test]
-    fn watch_mode_agrees_with_full_membership_and_deepens() {
+    fn critical_price_is_sharp_against_full_reruns() {
+        // Declaring just above the one-pass price wins — no earlier than
+        // the agent's own step, no later than the binding step — and
+        // declaring just below it loses, on full re-runs.
         let (inst, cfg) = resume_fixture();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
+        let mut priced = 0;
         for (rid, _) in &full.run.solution.routed {
             let k = trace.selection_step(*rid).unwrap();
             let declared = inst.request(*rid).value;
-            let base = trace.checkpoint(&inst, &cfg, None, k);
-            let mut last_selected_steps = k;
-            for factor in [0.9, 0.6, 0.3, 0.05] {
-                let probe =
-                    inst.with_declared_type(*rid, inst.request(*rid).demand, declared * factor);
-                let scratch = bounded_ufp_epoch(&probe, &cfg, None);
-                let watched =
-                    bounded_ufp_epoch_resume_watch(&probe, &cfg, None, base.clone(), *rid);
+            let p = bounded_ufp_epoch_critical_value(
+                &inst,
+                &cfg,
+                None,
+                trace.checkpoint(&inst, &cfg, None, k),
+                *rid,
+            );
+            assert!((0.0..=declared).contains(&p.value), "{rid:?}: {p:?}");
+            assert!(p.step >= k, "{rid:?}: binding step before its own");
+            assert_ne!(p.rival, Some(*rid));
+            let above = selected_at(&inst, &cfg, *rid, p.value * (1.0 + 1e-9) + 1e-12)
+                .unwrap_or_else(|| panic!("{rid:?} loses just above its price {p:?}"));
+            assert!(
+                (k..=p.step).contains(&above),
+                "{rid:?}: selected at {above}"
+            );
+            if p.value > 0.0 {
                 assert_eq!(
-                    watched.is_some(),
-                    scratch.run.solution.contains(*rid),
-                    "watch disagreed with full run for {rid:?} at {factor}x"
-                );
-                // Stripping the prefix outcome state (the per-probe cost
-                // optimization) must not change membership answers or
-                // step accounting.
-                let stripped = bounded_ufp_epoch_resume_watch(
-                    &probe,
-                    &cfg,
+                    selected_at(&inst, &cfg, *rid, p.value * (1.0 - 1e-9)),
                     None,
-                    base.clone().strip_outcome_state(),
-                    *rid,
+                    "{rid:?} still wins just below its price {p:?}"
                 );
-                assert_eq!(stripped.is_some(), watched.is_some());
-                if let (Some(a), Some(b)) = (&watched, &stripped) {
-                    assert_eq!(a.steps(), b.steps());
-                }
-                if let Some(deeper) = watched {
-                    // Lower values push the selection step later, never
-                    // earlier — the checkpoint advances monotonically.
-                    assert!(deeper.steps() >= last_selected_steps);
-                    last_selected_steps = deeper.steps();
-                }
+                priced += 1;
             }
         }
+        assert!(priced > 0, "the fixture must charge some winner");
+    }
+
+    #[test]
+    fn critical_price_survives_a_recentre_off_the_agent_path() {
+        // Links a and b, capacity 640, ε = 1: each unit selection adds 1
+        // to its link's ln y. The agent (bid 20) takes link a at step 0;
+        // without it, 640 rivals fill link b, re-centring the weights at
+        // the 601st (ln y − shift > 600) until the guard 639 trips. The
+        // agent's path is never crossed, so only the shift check can
+        // refresh its cached distance; a stale one would keep the
+        // pre-re-centre minimum, which full re-runs just below it reject.
+        let mut gb = GraphBuilder::directed(4);
+        gb.add_edge(n(0), n(1), 640.0);
+        gb.add_edge(n(2), n(3), 640.0);
+        let mut requests = vec![Request::new(n(0), n(1), 1.0, 20.0)];
+        requests.extend((0..700).map(|i| Request::new(n(2), n(3), 1.0, 1.0 + (i % 13) as f64)));
+        let inst = UfpInstance::new(gb.build(), requests);
+        let cfg = BoundedUfpConfig::with_epsilon(1.0);
+        let agent = RequestId(0);
+        let p = price(&inst, &cfg, agent);
+        assert_eq!(p.stop, StopReason::Guard);
+        assert!(
+            p.step > 600,
+            "binding step {} is before the re-centre",
+            p.step
+        );
+        assert!(p.value > 0.0);
+        assert!(selected_at(&inst, &cfg, agent, p.value * (1.0 + 1e-9)).is_some());
+        assert_eq!(
+            selected_at(&inst, &cfg, agent, p.value * (1.0 - 1e-9)),
+            None
+        );
+    }
+
+    fn one_link_auction(capacity: f64, values: &[f64]) -> UfpInstance {
+        let mut gb = GraphBuilder::directed(2);
+        gb.add_edge(n(0), n(1), capacity);
+        UfpInstance::new(
+            gb.build(),
+            values
+                .iter()
+                .map(|&v| Request::new(n(0), n(1), 1.0, v))
+                .collect(),
+        )
+    }
+
+    // Hand-worked Vickrey fixtures. On one link of capacity 1.5 with
+    // ε = 0.5, one unit selection bumps ln y by εB·d/c = 0.5, which
+    // passes the guard ε(B − 1) = 0.25: exactly one request fits. Every
+    // request has the same distance w, so a bid v scores w/v.
+
+    #[test]
+    fn vickrey_one_slot_pays_the_second_bid() {
+        // Declaring v < 10, request 0 first meets request 1's score w/7
+        // at step 0 and wins iff w/v < w/7. The request-0-absent run is
+        // then exhausted, but with ln D₁ = 0.5 past the guard: request 0
+        // could not have followed, so there is no zero price.
+        let inst = one_link_auction(1.5, &[10.0, 7.0]);
+        let cfg = BoundedUfpConfig::with_epsilon(0.5);
+        let p = price(&inst, &cfg, RequestId(0));
+        assert!(
+            (p.value - 7.0).abs() <= 4.0 * 2f64.powi(-50),
+            "paid {} not 7 to within 4 ulp",
+            p.value
+        );
+        assert_eq!(p.step, 0);
+        assert_eq!(p.rival, Some(RequestId(1)));
+        assert_eq!(p.stop, StopReason::Exhausted);
+    }
+
+    #[test]
+    fn vickrey_room_for_both_pays_zero() {
+        // Capacity 100: after request 1 the request-0-absent run has
+        // nobody left while the guard has room, so request 0 is chosen at
+        // step 1 whatever it bids.
+        let inst = one_link_auction(100.0, &[10.0, 7.0]);
+        let cfg = BoundedUfpConfig::with_epsilon(0.5);
+        let p = price(&inst, &cfg, RequestId(0));
+        assert_eq!(p.value, 0.0);
+        assert_eq!(p.step, 1);
+        assert_eq!(p.rival, None);
+        assert_eq!(p.stop, StopReason::Exhausted);
+    }
+
+    #[test]
+    fn vickrey_equal_bids_lower_id_wins_and_pays_the_rival_bid() {
+        let inst = one_link_auction(1.5, &[5.0, 5.0]);
+        let cfg = BoundedUfpConfig::with_epsilon(0.5);
+        let run = bounded_ufp(&inst, &cfg);
+        assert_eq!(run.solution.routed.len(), 1);
+        assert_eq!(
+            run.solution.routed[0].0,
+            RequestId(0),
+            "ties go to the lower id"
+        );
+        let p = price(&inst, &cfg, RequestId(0));
+        assert!(
+            (p.value - 5.0).abs() <= 4.0 * 2f64.powi(-50),
+            "paid {} not 5",
+            p.value
+        );
+        assert_eq!(p.step, 0);
+        assert_eq!(p.rival, Some(RequestId(1)));
+        assert_eq!(p.stop, StopReason::Exhausted);
+    }
+
+    #[test]
+    fn vickrey_sole_bidder_pays_zero() {
+        // The agent-absent run is exhausted at once, with ln D₁ = 0 below
+        // the guard 0.25.
+        let inst = one_link_auction(1.5, &[5.0]);
+        let cfg = BoundedUfpConfig::with_epsilon(0.5);
+        let p = price(&inst, &cfg, RequestId(0));
+        assert_eq!(p.value, 0.0);
+        assert_eq!(p.step, 0);
+        assert_eq!(p.rival, None);
+        assert_eq!(p.stop, StopReason::Exhausted);
+    }
+
+    #[test]
+    fn rival_after_one_bump_sets_a_later_binding_step() {
+        // Two disjoint links of capacity 2.5, ε = 1: each unit selection
+        // adds exactly 1 to its link's ln y, so ln D₁ runs ln 2 → ln(1+e)
+        // → ln 2 + 1 against the guard ε(B − 1) = 1.5 — two selections
+        // fit. Requests 0 (bid 10) and 2 (bid 6) share link a; requests
+        // 1 (bid 8) and 3 (bid 1) share link b. The run picks 0, then 1.
+        let mut gb = GraphBuilder::directed(4);
+        gb.add_edge(n(0), n(1), 2.5);
+        gb.add_edge(n(2), n(3), 2.5);
+        let inst = UfpInstance::new(
+            gb.build(),
+            vec![
+                Request::new(n(0), n(1), 1.0, 10.0),
+                Request::new(n(2), n(3), 1.0, 8.0),
+                Request::new(n(0), n(1), 1.0, 6.0),
+                Request::new(n(2), n(3), 1.0, 1.0),
+            ],
+        );
+        let cfg = BoundedUfpConfig::with_epsilon(1.0);
+        let run = bounded_ufp(&inst, &cfg);
+        let order: Vec<RequestId> = run.solution.routed.iter().map(|(r, _)| *r).collect();
+        assert_eq!(order, vec![RequestId(0), RequestId(1)]);
+        assert_eq!(run.trace.stop_reason, StopReason::Guard);
+
+        // Request 0 below 10: request 1 goes first at step 0 (threshold
+        // 8) without touching link a, then request 0 meets request 2's
+        // w/6 at step 1 (threshold 6); request 3 is left to the guard.
+        let p = price(&inst, &cfg, RequestId(0));
+        assert!((p.value - 6.0).abs() <= 4.0 * 2f64.powi(-50), "{p:?}");
+        assert_eq!(p.step, 1, "the binding step is after the agent's own");
+        assert_eq!(p.rival, Some(RequestId(2)));
+        assert_eq!(p.stop, StopReason::Guard);
+
+        // Request 1 below 8, from step 1 (link a bumped once): request 2
+        // scores e·w/6 against request 3's w, so request 1 meets it at
+        // threshold 6/e; then ln(e² + 1) is past the guard.
+        let p = price(&inst, &cfg, RequestId(1));
+        let want = 6.0 / std::f64::consts::E;
+        assert!((p.value - want).abs() <= 1e-12 * want, "{p:?} vs {want}");
+        assert_eq!(p.step, 1);
+        assert_eq!(p.rival, Some(RequestId(2)));
+        assert_eq!(p.stop, StopReason::Guard);
     }
 
     /// Reassemble a recorded trace step by step through the public
@@ -1706,16 +2028,33 @@ mod tests {
     }
 
     #[test]
-    fn probe_resume_over_a_pushed_trace_is_bit_identical() {
-        // The global-payment contract: critical-value probes may bisect
-        // against an externally assembled trace exactly as against the
-        // engine-recorded one.
+    fn critical_price_over_a_pushed_trace_is_bit_identical() {
+        // The global-payment contract: winners priced against an
+        // externally assembled trace get the same bits as against the
+        // engine-recorded one, and lowered-value runs resume from it
+        // like a full re-run.
         let (inst, cfg) = resume_fixture();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
         let rebuilt = reassemble(&full, &trace);
         for (rid, _) in &full.run.solution.routed {
             let k = rebuilt.selection_step(*rid).unwrap();
             assert_eq!(k, trace.selection_step(*rid).unwrap());
+            let recorded = bounded_ufp_epoch_critical_value(
+                &inst,
+                &cfg,
+                None,
+                trace.checkpoint(&inst, &cfg, None, k),
+                *rid,
+            );
+            let pushed = bounded_ufp_epoch_critical_value(
+                &inst,
+                &cfg,
+                None,
+                rebuilt.checkpoint(&inst, &cfg, None, k),
+                *rid,
+            );
+            assert_eq!(recorded.value.to_bits(), pushed.value.to_bits());
+            assert_eq!(recorded, pushed);
             let declared = inst.request(*rid).value;
             for factor in [0.9, 0.5, 0.11, 0.01] {
                 let probe =
@@ -1724,16 +2063,6 @@ mod tests {
                 let ckpt = rebuilt.checkpoint(&probe, &cfg, None, k);
                 let resumed = bounded_ufp_epoch_resume(&probe, &cfg, None, ckpt);
                 assert_outcomes_identical(&scratch, &resumed);
-                let watched = bounded_ufp_epoch_resume_watch(
-                    &probe,
-                    &cfg,
-                    None,
-                    rebuilt
-                        .checkpoint(&probe, &cfg, None, k)
-                        .strip_outcome_state(),
-                    *rid,
-                );
-                assert_eq!(watched.is_some(), scratch.run.solution.contains(*rid));
             }
         }
     }

@@ -2,19 +2,20 @@
 //! [`SelectionStrategy::FanOut`] are **bit-identical** in every
 //! observable output — selections, paths, [`IterationRecord`]s (every
 //! float compared by bits), stop reasons, carried dual exponents, resume
-//! traces, checkpoints, and watch probes — across random graphs, epoch
-//! contexts (masked edges, scaled residuals, carried weights),
-//! residual-gated path search, and weight re-centering. Everything PR 2
-//! (prefix-resumed payments) and PR 3 (snapshots) built on the fan-out
-//! loop must keep working unchanged on top of the incremental one.
+//! traces, checkpoints, and one-pass critical prices — across random
+//! graphs, epoch contexts (masked edges, scaled residuals, carried
+//! weights, routable masks), residual-gated path search, and weight
+//! re-centering. Everything prefix-resumed payments and snapshots built
+//! on the fan-out loop must keep working unchanged on top of the
+//! incremental one.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::{
-    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_resume_watch,
-    bounded_ufp_epoch_traced, BoundedUfpConfig, EpochContext, EpochOutcome, Request,
+    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_critical_value, bounded_ufp_epoch_resume,
+    bounded_ufp_epoch_traced, BoundedUfpConfig, CriticalPrice, EpochContext, EpochOutcome, Request,
     SelectionStrategy, UfpInstance,
 };
 use ufp_netgraph::generators;
@@ -94,6 +95,38 @@ fn assert_outcomes_bit_identical(a: &EpochOutcome, b: &EpochOutcome) {
     for (x, y) in a.carry.iter().zip(&b.carry) {
         assert_eq!(x.to_bits(), y.to_bits(), "carry diverged");
     }
+}
+
+/// Price the first few winners of a `FanOut`-traced run under both
+/// strategies, from checkpoints at their selection steps, and require
+/// bit-identical [`CriticalPrice`]s. Returns how many were compared.
+fn assert_prices_agree(
+    inst: &UfpInstance,
+    fan_cfg: &BoundedUfpConfig,
+    inc_cfg: &BoundedUfpConfig,
+    ctx: Option<&EpochContext<'_>>,
+    winners: usize,
+) -> usize {
+    let (full, trace) = bounded_ufp_epoch_traced(inst, fan_cfg, ctx);
+    let mut compared = 0;
+    for (rid, _) in full.run.solution.routed.iter().take(winners) {
+        let k = trace.selection_step(*rid).unwrap();
+        let price = |cfg: &BoundedUfpConfig| -> CriticalPrice {
+            let ckpt = trace.checkpoint(inst, cfg, ctx, k);
+            bounded_ufp_epoch_critical_value(inst, cfg, ctx, ckpt, *rid)
+        };
+        let fan = price(fan_cfg);
+        let inc = price(inc_cfg);
+        assert_eq!(
+            fan.value.to_bits(),
+            inc.value.to_bits(),
+            "price diverged for {rid:?}: {fan:?} vs {inc:?}"
+        );
+        assert_eq!(fan, inc, "binding step, rival or stop diverged for {rid:?}");
+        assert!((0.0..=inst.request(*rid).value).contains(&fan.value));
+        compared += 1;
+    }
+    compared
 }
 
 /// A context exercising masks, scaled residuals, and carried weights,
@@ -180,37 +213,56 @@ proptest! {
     }
 
     #[test]
-    fn watch_probes_agree_across_strategies((inst, eps) in arb_instance()) {
-        // The payment-probe primitive: lower a winner's declared value,
-        // resume from its selection step watching for it. Membership
-        // verdicts and checkpoint depths must match across strategies
-        // (this covers the early-exit used by critical-value pricing).
-        let fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        let inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
-        let (full, trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, None);
-        for (rid, _) in full.run.solution.routed.iter().take(3) {
-            let k = trace.selection_step(*rid).unwrap();
-            let declared = inst.request(*rid).value;
-            for factor in [0.85, 0.4, 0.05] {
-                let probe =
-                    inst.with_declared_type(*rid, inst.request(*rid).demand, declared * factor);
-                let fan_watch = bounded_ufp_epoch_resume_watch(
-                    &probe, &fan_cfg, None,
-                    trace.checkpoint(&probe, &fan_cfg, None, k), *rid,
-                );
-                let inc_watch = bounded_ufp_epoch_resume_watch(
-                    &probe, &inc_cfg, None,
-                    trace.checkpoint(&probe, &inc_cfg, None, k), *rid,
-                );
-                prop_assert_eq!(fan_watch.is_some(), inc_watch.is_some(),
-                    "watch membership diverged for {:?} at {}x", rid, factor);
-                if let (Some(a), Some(b)) = (&fan_watch, &inc_watch) {
-                    prop_assert_eq!(a.steps(), b.steps(),
-                        "watch checkpoint depth diverged for {:?} at {}x", rid, factor);
-                }
-            }
-        }
+    fn critical_prices_agree_across_strategies(
+        (inst, eps) in arb_instance(),
+        seed in any::<u64>(),
+        respect_residual in any::<bool>(),
+    ) {
+        // The pricing primitive: one agent-absent suffix run per winner,
+        // observing the argmin score and the agent's own distance. Both
+        // strategies must return the same bits under an epoch context
+        // with a routable mask, with and without the residual gate.
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+        let routable: Vec<bool> = (0..caps.len())
+            .map(|_| rng.random_range(0..6u32) != 0)
+            .collect();
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: Some(&routable),
+        };
+        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
+        fan_cfg.respect_residual = respect_residual;
+        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
+        inc_cfg.respect_residual = respect_residual;
+        assert_prices_agree(&inst, &fan_cfg, &inc_cfg, Some(&ctx), 3);
+        assert_prices_agree(&inst, &fan_cfg, &inc_cfg, None, 3);
     }
+}
+
+/// Pricing runs that cross weight re-centerings: the agent's cached
+/// distance changes scale with every re-centre, and both strategies must
+/// still return bit-identical prices.
+#[test]
+fn critical_prices_agree_across_recentering() {
+    // The recentering fixture below, shortened: 650 unit selections of
+    // exponent 1 still cross the RECENTER_AT = 600 threshold inside
+    // every early winner's suffix run.
+    let mut gb = GraphBuilder::directed(2);
+    gb.add_edge(NodeId(0), NodeId(1), 2000.0);
+    let inst = UfpInstance::new(
+        gb.build(),
+        (0..650)
+            .map(|i| Request::new(NodeId(0), NodeId(1), 1.0, 1.0 + (i % 13) as f64))
+            .collect(),
+    );
+    let fan_cfg = with_strategy(1.0, SelectionStrategy::FanOut);
+    let inc_cfg = with_strategy(1.0, SelectionStrategy::Incremental);
+    let (_, trace) = bounded_ufp_epoch_traced(&inst, &inc_cfg, None);
+    assert!(
+        trace.num_steps() > 600,
+        "fixture must cross the recenter threshold"
+    );
+    assert_eq!(assert_prices_agree(&inst, &fan_cfg, &inc_cfg, None, 2), 2);
 }
 
 /// Weight re-centering rescales every materialized Dijkstra weight,

@@ -10,8 +10,8 @@ use ufp_mechanism::SingleParamAllocator;
 /// per-epoch truthfulness. On a trivial context this coincides with
 /// `ufp_mechanism::UfpAllocator`, which the engine/offline equivalence
 /// tests assert. With `ufp_mechanism::critical_value` it is the
-/// independent full-rerun oracle the engine's prefix-resumed payments
-/// are checked against bit for bit.
+/// independent full-rerun oracle whose bracket the engine's one-pass
+/// payments are checked against.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochAllocator<'a> {
     /// Per-epoch allocation configuration.

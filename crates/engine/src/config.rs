@@ -11,33 +11,36 @@ pub enum PaymentPolicy {
     /// No payments (pure admission control); revenue stays 0.
     None,
     /// Critical-value payments against the epoch's frozen residual state
-    /// (Theorem 2.3 applied per epoch), computed with **prefix-resumed**
-    /// probes: the epoch's real run records a per-step resume trace, each
-    /// winner's bisection resumes from the step that selected it (earlier
-    /// selections cannot change when its value drops), probes early-exit
-    /// the moment the winner is re-selected, and independent winners fan
-    /// out across the engine's worker pool with deterministic ordering.
-    /// Payments are bit-identical to a full-rerun bisection
-    /// (`ufp_mechanism::critical_value` over an
-    /// [`crate::EpochAllocator`] under the same frozen context, the
-    /// oracle the engine tests check against) at a fraction of the
-    /// cost — this is what makes pricing viable for 10⁴-request batches.
-    CriticalValue(PaymentConfig),
+    /// (Theorem 2.3 applied per epoch), computed in **one pass** per
+    /// winner: the epoch's real run records a per-step resume trace, and
+    /// each winner's price is read off one counterfactual suffix run
+    /// from the step that selected it (earlier selections cannot change
+    /// when its value drops) — the minimum over that run's steps of the
+    /// value at which the winner would beat the step's argmin. Payments
+    /// are exact; the engine tests bracket them with a full-rerun
+    /// bisection oracle (`ufp_mechanism::critical_value` over an
+    /// [`crate::EpochAllocator`] under the same frozen context).
+    /// Independent winners fan out across the engine's worker pool with
+    /// deterministic ordering — this is what makes pricing viable for
+    /// 10⁴-request batches.
+    CriticalValue,
 }
 
 impl PaymentPolicy {
-    /// Critical-value payments (prefix-resumed) with default bisection
-    /// tolerances.
+    /// Critical-value payments (one-pass, exact).
     pub fn critical_value() -> Self {
-        PaymentPolicy::CriticalValue(PaymentConfig::default())
+        PaymentPolicy::CriticalValue
     }
 
     /// Snapshot-fingerprint of the policy: `(class, tolerance bits,
-    /// floor bits)`.
+    /// floor bits)`. The critical-value class keeps writing the default
+    /// bisection tolerance and floor it carried when the engine priced by
+    /// bisection, so snapshot bytes and older snapshots stay valid.
     pub(crate) fn fingerprint(&self) -> (u8, u64, u64) {
         match *self {
             PaymentPolicy::None => (0, 0, 0),
-            PaymentPolicy::CriticalValue(c) => {
+            PaymentPolicy::CriticalValue => {
+                let c = PaymentConfig::default();
                 (1, c.relative_tolerance.to_bits(), c.value_floor.to_bits())
             }
         }

@@ -4,11 +4,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ufp_core::{
-    bounded_ufp_epoch, bounded_ufp_epoch_resume_watch, bounded_ufp_epoch_traced, BoundedUfpConfig,
-    EpochContext, EpochOutcome, EpochResumeTrace, Request, RequestId, StopReason, UfpInstance,
-    UfpSolution,
+    bounded_ufp_epoch, bounded_ufp_epoch_critical_value, bounded_ufp_epoch_traced,
+    BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace, Request, RequestId, StopReason,
+    UfpInstance, UfpSolution,
 };
-use ufp_mechanism::critical_value_from_probe;
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::EdgeId;
 use ufp_netgraph::residual::ResidualCaps;
@@ -491,11 +490,12 @@ impl Engine {
             routable: ctx_routable.as_deref(),
         };
 
-        // 4. The monotone allocation run — traced when resumed payments
-        //    will probe it (so bisection can replay prefixes instead of
-        //    re-running them) or when an orchestrator will replay it.
+        // 4. The monotone allocation run — traced when payments will
+        //    price against it (so each winner's suffix run replays the
+        //    prefix instead of re-running it) or when an orchestrator
+        //    will replay it.
         let traced =
-            overrides.is_some() || matches!(self.config.payments, PaymentPolicy::CriticalValue(_));
+            overrides.is_some() || matches!(self.config.payments, PaymentPolicy::CriticalValue);
         let (outcome, resume_trace) = if traced {
             let (o, t) = bounded_ufp_epoch_traced(&instance, &self.allocator_config, Some(&ctx));
             (o, Some(t))
@@ -617,7 +617,7 @@ impl Engine {
         let payments = match (supplied_payments, self.config.payments) {
             (Some(p), _) => p,
             (None, PaymentPolicy::None) => vec![0.0; arrivals.len()],
-            (None, PaymentPolicy::CriticalValue(_)) => {
+            (None, PaymentPolicy::CriticalValue) => {
                 let trace = resume_trace
                     .as_ref()
                     .expect("paid epochs are planned traced");
@@ -1039,7 +1039,7 @@ impl Engine {
         repair::verify_feasibility(&self.active_flows(), &self.topology)
     }
 
-    /// Price winners by critical-value bisection against a resume
+    /// Price winners at their exact critical values against a resume
     /// trace — the engine's one pricer. A single engine's commit prices
     /// its epoch against its own trace; a sharded orchestrator prices
     /// the surviving winners against the merged trace it assembled with
@@ -1048,12 +1048,11 @@ impl Engine {
     /// context it replays under, and each winner comes with its
     /// selection step in that trace.
     ///
-    /// Each winner's bisection resumes from the checkpoint at its
+    /// Each winner is priced by one counterfactual suffix run
+    /// ([`bounded_ufp_epoch_critical_value`]) from the checkpoint at its
     /// selection step — lowering its declared value cannot change any
-    /// earlier selection (Lemma 3.4) — and every probe that still
-    /// selects it hands back a deeper checkpoint, from which the next
-    /// (lower) probe resumes. Probes are read-only replays, so the
-    /// winners fan out on the engine's `ufp_par` pool, each under a
+    /// earlier selection (Lemma 3.4). The runs are read-only replays, so
+    /// the winners fan out on the engine's `ufp_par` pool, each under a
     /// `payment.probe` span whose `suffix_len` records the steps past
     /// its resume point. `PaymentPolicy::None` prices every winner at
     /// zero.
@@ -1066,11 +1065,10 @@ impl Engine {
         trace: &EpochResumeTrace,
         winners: &[(RequestId, usize)],
     ) -> Vec<f64> {
-        let payment_config = match self.config.payments {
-            PaymentPolicy::None => return vec![0.0; winners.len()],
-            PaymentPolicy::CriticalValue(pc) => pc,
-        };
-        // Probe runs execute *inside* pool workers during the fan-out
+        if matches!(self.config.payments, PaymentPolicy::None) {
+            return vec![0.0; winners.len()];
+        }
+        // Pricing runs execute *inside* pool workers during the fan-out
         // below. Nested dispatch is deadlock-free since `ufp_par` waits
         // help-first, so the inner allocator may keep the engine's pool;
         // results are unaffected either way — parallel and sequential
@@ -1079,7 +1077,6 @@ impl Engine {
         let probe_config = self.allocator_config.clone();
         let total_steps = trace.num_steps();
         self.config.pool.map(winners, |_, &(rid, step)| {
-            let req = *instance.request(rid);
             debug_assert_eq!(
                 trace.step(step).selected,
                 rid,
@@ -1090,27 +1087,8 @@ impl Engine {
                 "suffix_len",
                 (total_steps - step) as u64,
             );
-            // Membership is all a probe answers, so the prefix
-            // solution/records are stripped before the per-probe clones.
-            let mut ckpt = trace
-                .checkpoint(instance, &probe_config, Some(ctx), step)
-                .strip_outcome_state();
-            critical_value_from_probe(req.value, &payment_config, |value| {
-                let probe = instance.with_declared_type(rid, req.demand, value);
-                match bounded_ufp_epoch_resume_watch(
-                    &probe,
-                    &probe_config,
-                    Some(ctx),
-                    ckpt.clone(),
-                    rid,
-                ) {
-                    Some(deeper) => {
-                        ckpt = deeper;
-                        true
-                    }
-                    None => false,
-                }
-            })
+            let ckpt = trace.checkpoint(instance, &probe_config, Some(ctx), step);
+            bounded_ufp_epoch_critical_value(instance, &probe_config, Some(ctx), ckpt, rid).value
         })
     }
 
@@ -1541,9 +1519,9 @@ mod tests {
 
     #[test]
     fn resumed_payments_match_naive_baseline_across_churned_epochs() {
-        // Prefix-resumed bisection must reproduce the full-rerun oracle
-        // (`critical_value` over an `EpochAllocator` under the plan's
-        // frozen context) bit for bit on every winner of every epoch,
+        // One-pass payments must lie in the bracket of the full-rerun
+        // oracle (`critical_value` over an `EpochAllocator` under the
+        // plan's frozen context) on every winner of every epoch,
         // including under TTL churn and carried weights.
         use crate::allocator::EpochAllocator;
         use ufp_mechanism::{critical_value, PaymentConfig};
@@ -1603,12 +1581,12 @@ mod tests {
             revenue += engine.commit_epoch(plan, None).revenue;
             let committed = &engine.admissions()[before..];
             assert_eq!(committed.len(), oracle.len(), "epoch {e}: winners");
-            for (adm, &(request, p)) in committed.iter().zip(&oracle) {
+            for (adm, &(request, b)) in committed.iter().zip(&oracle) {
                 assert_eq!(adm.request, request);
-                assert_eq!(
-                    adm.payment.to_bits(),
-                    p.to_bits(),
-                    "epoch {e}: payment diverged for {request:?}: {} vs oracle {p}",
+                assert!(
+                    PaymentConfig::default().brackets(adm.payment, b),
+                    "epoch {e}: payment for {request:?} outside the oracle's bracket: {} vs \
+                     bisection {b}",
                     adm.payment
                 );
             }

@@ -31,30 +31,32 @@
 //!    is what makes the engine's truthfulness story inherit from
 //!    Theorem 2.3: per-epoch the allocation is value-monotone, and
 //!    critical-value payments are computed against the same frozen
-//!    residual state every probe sees.
+//!    residual state every counterfactual sees.
 //! 5. **Commits** accepted routes (loads, global solution, event log) and
 //!    computes payments per [`EngineConfig::payments`].
 //!
-//! ## Payments at scale: prefix-resumed critical values
+//! ## Payments at scale: one-pass critical values
 //!
 //! Under [`PaymentPolicy::CriticalValue`] the epoch's allocation run is
 //! *traced* ([`ufp_core::bounded_ufp_epoch_traced`]): every selection
-//! step records its path and dual-weight bumps. Each winner's
-//! critical-value bisection then resumes from the step that selected it
-//! — lowering a declared value cannot change any earlier selection
-//! (Lemma 3.4) — via [`ufp_core::bounded_ufp_epoch_resume_watch`], which
-//! additionally stops the moment the winner is re-selected and hands
-//! back a *deeper* checkpoint for the next (lower) probe. Each probe
-//! costs `O(suffix)` instead of `O(full run)`, and the per-winner
-//! searches are independent given the frozen epoch context, so they fan
-//! out across [`EngineConfig::pool`] with deterministic (winner-ordered)
-//! results. One pricer, [`Engine::price_winners_against_trace`], does
-//! this for every deployment: a single engine's commit prices its epoch
-//! against its own trace, and `ufp_shard` prices a sharded epoch
-//! against the merged trace. Payments are **bit-identical** to a
-//! full-rerun bisection (`ufp_mechanism::critical_value` over an
-//! [`EpochAllocator`] under the same frozen context), which the tests
-//! keep as an independent oracle.
+//! step records its path and dual-weight bumps. Each winner is then
+//! priced by one counterfactual suffix run from the step that selected
+//! it — lowering a declared value cannot change any earlier selection
+//! (Lemma 3.4), and below its bid the winner follows the run without it
+//! until it is chosen. [`ufp_core::bounded_ufp_epoch_critical_value`]
+//! drives that winner-absent run once and reads the exact critical
+//! value off it: the minimum over its steps of `d·dist_k / best_k`, or 0
+//! when it runs out of rivals with guard room left. Each price costs one
+//! `O(suffix)` run, and the per-winner runs are independent given the
+//! frozen epoch context, so they fan out across [`EngineConfig::pool`]
+//! with deterministic (winner-ordered) results. One pricer,
+//! [`Engine::price_winners_against_trace`], does this for every
+//! deployment: a single engine's commit prices its epoch against its own
+//! trace, and `ufp_shard` prices a sharded epoch against the merged
+//! trace. Payments are exact; the tests check each against the bracket
+//! of a full-rerun bisection (`ufp_mechanism::critical_value` over an
+//! [`EpochAllocator`] under the same frozen context), kept as an
+//! independent oracle.
 //!
 //! Feasibility is inductive: epoch `k` allocates within the residual
 //! capacities left by epochs `1..k`, so the cumulative active allocation

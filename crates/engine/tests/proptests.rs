@@ -2,21 +2,24 @@
 //!
 //! * **Single-epoch equivalence** — over a fresh network, one engine
 //!   epoch is *exactly* one-shot `bounded_ufp` + `CriticalValueMechanism`:
-//!   same routed set, same paths, bit-identical payments. This is the
-//!   contract that lets the offline truthfulness analysis transfer to the
-//!   online engine epoch by epoch.
+//!   same routed set, same paths, and every exact payment inside the
+//!   offline bisection's bracket. This is the contract that lets the
+//!   offline truthfulness analysis transfer to the online engine epoch
+//!   by epoch.
 //! * **Multi-epoch feasibility** — however a request stream is chopped
 //!   into batches (with or without churn), the engine's active allocation
 //!   never violates a base capacity, and without churn neither does the
 //!   cumulative one.
 //! * **Conservation** — accepted + rejected = arrivals, and admitted
 //!   value/revenue accounting is consistent.
-//! * **Payment oracle** — every winner's prefix-resumed payment equals,
-//!   bit for bit, the full-rerun bisection (`critical_value` over an
-//!   `EpochAllocator`) under the epoch's frozen context. The `#[ignore]`d
-//!   `paid_replay_matches_full_rerun_oracle` replays a larger paid trace
-//!   the same way; run it with `cargo test --release -p ufp-engine --
-//!   --ignored`.
+//! * **Payment oracle** — every winner's one-pass payment `p` lies in
+//!   the bracket of the full-rerun bisection `b` (`critical_value` over
+//!   an `EpochAllocator`) under the epoch's frozen context,
+//!   `p·(1−1e-12) ≤ b ≤ p/(1−1e-9)`, and is sharp: full re-runs select
+//!   the winner declaring `p·(1+1e-9)+1e-12` and drop it declaring
+//!   `p·(1−1e-9)`. The `#[ignore]`d `paid_replay_matches_full_rerun_oracle`
+//!   replays a larger paid trace the same way; run it with `cargo test
+//!   --release -p ufp-engine -- --ignored`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +27,9 @@ use rand::{Rng, SeedableRng};
 
 use ufp_core::{bounded_ufp, bounded_ufp_epoch, BoundedUfpConfig, Request, RequestId, UfpInstance};
 use ufp_engine::{Arrival, Engine, EngineConfig, EpochAllocator, PaymentPolicy, ResidualFloor};
-use ufp_mechanism::{critical_value, CriticalValueMechanism, PaymentConfig, UfpAllocator};
+use ufp_mechanism::{
+    critical_value, CriticalValueMechanism, PaymentConfig, SingleParamAllocator, UfpAllocator,
+};
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
@@ -62,10 +67,11 @@ fn arb_scenario() -> impl Strategy<Value = (Graph, Vec<Request>, f64)> {
 /// priced with the full-rerun oracle (`critical_value` over an
 /// `EpochAllocator` under the plan's frozen context), and the plan's
 /// allocation is re-run untraced under the same context, before the
-/// engine commits. Returns `(request, oracle payment, charged payment)`
-/// per admission, after checking the traced plan against the untraced
-/// run and the committed admissions against the plan's winners.
-fn commit_against_oracle(engine: &mut Engine, arrivals: &[Arrival]) -> Vec<(RequestId, f64, f64)> {
+/// engine commits. Checks the traced plan against the untraced run, the
+/// committed admissions against the plan's winners, and every charged
+/// payment against the oracle's bracket and for sharpness on full
+/// re-runs. Returns the charged payment per admission.
+fn commit_against_oracle(engine: &mut Engine, arrivals: &[Arrival]) -> Vec<f64> {
     let config = engine.config().allocator_config();
     let plan = engine.plan_epoch(arrivals, None);
     let ctx = plan.context();
@@ -75,40 +81,71 @@ fn commit_against_oracle(engine: &mut Engine, arrivals: &[Arrival]) -> Vec<(Requ
         plan.outcome().run.solution.routed,
         "traced plan diverged from the untraced allocation"
     );
+    // Owned copies of the frozen context: the sharpness re-runs happen
+    // after the commit consumes the plan.
+    let (capacities, usable, carry) = (
+        ctx.capacities.to_vec(),
+        ctx.usable.to_vec(),
+        ctx.carry.to_vec(),
+    );
+    let routable = ctx.routable.map(<[bool]>::to_vec);
     let allocator = EpochAllocator {
         config: &config,
-        capacities: ctx.capacities,
-        usable: ctx.usable,
-        carry: ctx.carry,
-        routable: ctx.routable,
+        capacities: &capacities,
+        usable: &usable,
+        carry: &carry,
+        routable: routable.as_deref(),
     };
-    let base = plan.base_request_id();
-    let oracle: Vec<(RequestId, f64)> = plan
+    let instance = plan.instance().clone();
+    let winners: Vec<RequestId> = plan
         .outcome()
         .run
         .solution
         .routed
         .iter()
-        .map(|(rid, _)| {
-            let p = critical_value(
+        .map(|(rid, _)| *rid)
+        .collect();
+    let oracle: Vec<f64> = winners
+        .iter()
+        .map(|rid| {
+            critical_value(
                 &allocator,
-                plan.instance(),
+                &instance,
                 rid.index(),
                 &PaymentConfig::default(),
-            );
-            (RequestId(base + rid.0), p)
+            )
         })
         .collect();
+    let base = plan.base_request_id();
     let before = engine.admissions().len();
     engine.commit_epoch(plan, None);
     let committed = &engine.admissions()[before..];
     assert_eq!(committed.len(), oracle.len(), "committed winners");
+    let selected_at = |agent: usize, value: f64| {
+        allocator.selected(&allocator.with_value(&instance, agent, value))[agent]
+    };
     committed
         .iter()
-        .zip(oracle)
-        .map(|(adm, (request, p))| {
+        .zip(winners.iter().zip(oracle))
+        .map(|(adm, (rid, b))| {
+            let request = RequestId(base + rid.0);
             assert_eq!(adm.request, request, "admission order");
-            (request, p, adm.payment)
+            let p = adm.payment;
+            assert!(
+                PaymentConfig::default().brackets(p, b),
+                "payment {p} for {request:?} outside the oracle's bracket (bisection {b})"
+            );
+            assert!(
+                selected_at(rid.index(), p * (1.0 + 1e-9) + 1e-12),
+                "{request:?} loses just above its payment {p}"
+            );
+            if p > 0.0 {
+                assert!(
+                    !selected_at(rid.index(), p * (1.0 - 1e-9)),
+                    "{request:?} still wins just below its payment {p}"
+                );
+            }
+            p
         })
         .collect()
 }
@@ -145,14 +182,8 @@ fn paid_replay_matches_full_rerun_oracle() {
     );
     let mut winners = 0;
     let mut revenue = 0.0;
-    for (epoch, batch) in trace.iter().enumerate() {
-        for (request, oracle, charged) in commit_against_oracle(&mut engine, batch) {
-            assert_eq!(
-                charged.to_bits(),
-                oracle.to_bits(),
-                "epoch {}: payment diverged for {request:?}: {charged} vs oracle {oracle}",
-                epoch + 1
-            );
+    for batch in &trace {
+        for charged in commit_against_oracle(&mut engine, batch) {
             winners += 1;
             revenue += charged;
         }
@@ -164,7 +195,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// One engine epoch over a fresh network == one-shot Algorithm 1 +
-    /// critical-value payments, including bit-identical payments.
+    /// critical-value payments, every exact payment inside the offline
+    /// bisection's bracket.
     #[test]
     fn single_epoch_matches_offline_mechanism((graph, requests, epsilon) in arb_scenario()) {
         if requests.is_empty() {
@@ -194,16 +226,23 @@ proptest! {
             prop_assert_eq!(adm.path.nodes(), path.nodes());
         }
 
-        // Bit-identical payments per winner, and identical revenue.
+        // Every payment inside the offline bisection's bracket, and so
+        // the revenue within the bracket's relative width.
+        let bracket = PaymentConfig::default();
         for adm in admissions {
             let offline_payment = offline_outcome.payments[adm.request.index()];
-            prop_assert_eq!(
-                adm.payment, offline_payment,
-                "payment mismatch for {:?}: {} vs {}",
+            prop_assert!(
+                bracket.brackets(adm.payment, offline_payment),
+                "payment for {:?} outside the oracle's bracket: {} vs bisection {}",
                 adm.request, adm.payment, offline_payment
             );
         }
-        prop_assert_eq!(report.revenue, offline_outcome.revenue());
+        let offline_revenue = offline_outcome.revenue();
+        prop_assert!(
+            (report.revenue - offline_revenue).abs()
+                <= 2e-9 * report.revenue.max(offline_revenue) + 2e-12 * admissions.len() as f64,
+            "revenue {} vs offline {}", report.revenue, offline_revenue
+        );
     }
 
     /// Chopping one request set into however many batches never violates
@@ -272,9 +311,9 @@ proptest! {
         prop_assert!(engine.active_solution().is_empty());
     }
 
-    /// Prefix-resumed critical-value payments are **bit-identical** to
-    /// the full-rerun oracle on every winner of every epoch of a
-    /// churned, multi-epoch stream over a random network.
+    /// One-pass critical-value payments lie in the full-rerun oracle's
+    /// bracket, and are sharp on full re-runs, for every winner of every
+    /// epoch of a churned, multi-epoch stream over a random network.
     #[test]
     fn resumed_payments_bit_identical_to_naive_under_churn(
         (graph, requests, epsilon) in arb_scenario(),
@@ -298,21 +337,15 @@ proptest! {
                     Arrival::permanent(r)
                 })
                 .collect();
-            for (request, oracle, charged) in commit_against_oracle(&mut engine, &arrivals) {
-                prop_assert_eq!(
-                    charged.to_bits(), oracle.to_bits(),
-                    "epoch {}: payment diverged for {:?}: {} vs oracle {}",
-                    i + 1, request, charged, oracle
-                );
-            }
+            commit_against_oracle(&mut engine, &arrivals);
         }
     }
 
     /// PR 4: the incremental (dirty-set) selection loop and the full
     /// fan-out produce bit-identical *engines* over whole churned
     /// streams — every epoch report, admission path, critical-value
-    /// payment, and metrics counter — including the watch-mode early
-    /// exits inside the prefix-resumed payment probes.
+    /// payment, and metrics counter — including the agent-absent suffix
+    /// runs that price each winner.
     #[test]
     fn incremental_selection_bit_identical_across_churned_epochs(
         (graph, requests, epsilon) in arb_scenario(),

@@ -7,6 +7,11 @@
 //! located by exponential bracketing + bisection; monotonicity guarantees
 //! the probe predicate `selected(v)` is a step function, which is exactly
 //! the setting where bisection is exact up to the final interval width.
+//!
+//! The streaming engine does not bisect: `ufp_core` reads each winner's
+//! exact threshold off one counterfactual run. [`critical_value`] stays
+//! as the independent oracle its tests check against, through
+//! [`PaymentConfig::brackets`].
 
 use crate::allocator::SingleParamAllocator;
 
@@ -30,18 +35,31 @@ impl Default for PaymentConfig {
     }
 }
 
+impl PaymentConfig {
+    /// Whether `bisected`, a [`critical_value`] result under this
+    /// config, is consistent with `exact`, the true threshold: the
+    /// bisection returns its final bracket's upper end, so
+    /// `exact ≤ bisected ≤ exact / (1 − relative_tolerance)`, with
+    /// `1e-12` relative slack below for rounding in `exact`. A zero
+    /// `bisected` (the agent won every halving down to the floor) is
+    /// consistent only with `exact < 2·value_floor`.
+    pub fn brackets(&self, exact: f64, bisected: f64) -> bool {
+        if bisected == 0.0 {
+            return exact < 2.0 * self.value_floor;
+        }
+        exact * (1.0 - 1e-12) <= bisected && bisected <= exact / (1.0 - self.relative_tolerance)
+    }
+}
+
 /// Critical value of a winner whose declared value is `declared`, given
 /// only the selection predicate `selected_at(v)` ("is the agent selected
-/// when declaring `v`?"). This is the *entire* probe schedule —
-/// exponential bracketing downward, then bisection — factored out so
-/// every payment path (black-box allocator re-runs, prefix-resumed epoch
-/// probes, parallel fan-outs) issues the exact same sequence of probe
-/// values and therefore produces **bit-identical** payments whenever the
-/// predicates agree.
+/// when declaring `v`?"): exponential bracketing downward, then
+/// bisection. [`critical_value`] is its one caller; it is the probe
+/// schedule of the oracle, kept separate so the schedule can be tested
+/// against any predicate.
 ///
 /// Successive probe values are strictly decreasing below every value
-/// that answered "selected" so far — the property the prefix-resume
-/// optimization in `ufp-core` relies on to advance its checkpoint.
+/// that answered "selected" so far.
 pub fn critical_value_from_probe(
     declared: f64,
     config: &PaymentConfig,
@@ -156,7 +174,7 @@ mod tests {
     #[test]
     fn probe_form_is_bit_identical_to_allocator_form() {
         // Both forms must issue the same probe schedule and land on the
-        // same bits — the resumed payment path depends on it.
+        // same bits.
         let inst = vec![10.0, 6.5, 1.0];
         let mut probes = Vec::new();
         let p = critical_value_from_probe(10.0, &PaymentConfig::default(), |v| {
@@ -167,8 +185,7 @@ mod tests {
         let p2 = critical_value(&HighestBid, &inst, 0, &PaymentConfig::default());
         assert_eq!(p.to_bits(), p2.to_bits());
         // Every probe is strictly below the smallest "selected" answer so
-        // far (starting from the declared value) — the invariant that
-        // lets prefix-resume advance its checkpoint monotonically.
+        // far (starting from the declared value).
         let mut min_selected = 10.0f64;
         for &v in &probes {
             assert!(
@@ -180,6 +197,23 @@ mod tests {
                 min_selected = v;
             }
         }
+    }
+
+    #[test]
+    fn bisection_brackets_the_exact_vickrey_price() {
+        let config = PaymentConfig::default();
+        for second in [0.1, 1.0, 5.0, 9.999] {
+            let p = critical_value(&HighestBid, &vec![10.0, second], 0, &config);
+            assert!(config.brackets(second, p), "{p} does not bracket {second}");
+            // Too far above the exact price, or below it beyond rounding.
+            assert!(!config.brackets(second * (1.0 - 1e-8), p));
+            assert!(!config.brackets(second, second * (1.0 - 1e-11)));
+        }
+        let free = critical_value(&HighestBid, &vec![10.0], 0, &config);
+        assert_eq!(free, 0.0);
+        assert!(config.brackets(0.0, free));
+        assert!(config.brackets(1.5e-12, free));
+        assert!(!config.brackets(1e-6, free));
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //!    threshold. Pure arithmetic replay; no shortest-path work. When
 //!    payments are on, the pass also assembles the merged steps into a
 //!    global [`EpochResumeTrace`] over the epoch's full batch.
-//! 6. **Price + commit**: price every surviving winner by
-//!    critical-value bisection against the *merged* trace under the
-//!    epoch-start frozen context (read-only probe replays, fanned out
+//! 6. **Price + commit**: price every surviving winner at its exact
+//!    critical value against the *merged* trace under the epoch-start
+//!    frozen context (one read-only suffix run per winner, fanned out
 //!    on the `ufp_par` pool with `payment.probe` spans — the exact
-//!    probe schedule a single global engine would run), then commit
+//!    runs a single global engine would make), then commit
 //!    each shard's surviving prefix in parallel with its payment slice
 //!    supplied, mirror the admissions into the global state in merged
 //!    order, and settle the lease ledger.
@@ -463,13 +463,13 @@ impl ShardedEngine {
             )
         };
 
-        // 6a. Global payment pass: price every surviving winner by
-        //     critical-value bisection against the *merged* trace,
-        //     under the epoch-start frozen context (capacities / usable
-        //     / carry captured in step 3) — the exact probe schedule a
-        //     single global engine would run, guard stops included.
-        //     Probes are read-only replays; the entry point fans them
-        //     out on the pool under `payment.probe` spans. The results
+        // 6a. Global payment pass: price every surviving winner at its
+        //     critical value against the *merged* trace, under the
+        //     epoch-start frozen context (capacities / usable / carry
+        //     captured in step 3) — the exact suffix runs a single
+        //     global engine would make, guard stops included. They are
+        //     read-only replays; the entry point fans them out on the
+        //     pool under `payment.probe` spans. The results
         //     are scattered back into per-shard, batch-local payment
         //     slices for the deferred commits below.
         let shard_payments: Option<Vec<Vec<f64>>> = merge.global_trace.as_ref().map(|gtrace| {

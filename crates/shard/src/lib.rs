@@ -32,13 +32,13 @@
 //! score through one global dual-weight replay that enforces the
 //! *global* guard (truncating shard over-admissions the moment the
 //! merged dual mass crosses `e^{ε(B−1)}`), every surviving winner is
-//! priced by critical-value bisection **against that merged trace**
-//! under the epoch-start context (the probe schedule a single global
-//! engine would run, through the same pricer,
+//! priced at its critical value **against that merged trace** under
+//! the epoch-start context (the suffix runs a single global engine
+//! would make, through the same pricer,
 //! [`ufp_engine::Engine::price_winners_against_trace`]), then cross-shard
 //! requests route sequentially against the post-epoch global
 //! residuals. Everything after the parallel plans is arithmetic replay
-//! plus read-only probe replays — no new shortest-path state — so the
+//! plus read-only pricing replays — no new shortest-path state — so the
 //! whole epoch is deterministic and byte-replayable regardless of
 //! thread scheduling.
 //!

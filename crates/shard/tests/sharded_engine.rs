@@ -197,7 +197,7 @@ fn guard_pressure_truncates_exactly_like_a_single_engine() {
     // global-guard truncation must reproduce the single engine's stop
     // point bit for bit — and with critical-value payments ON, the
     // global payment pass must price every survivor identically even
-    // though many of its bisection probes themselves stop on the guard
+    // though many of its pricing runs themselves stop on the guard
     // (the regime the old per-shard pass documented as divergent).
     // Capacities sized so e^{ε(B−1)} sits a little above the initial
     // dual mass (= edge count): epochs admit a handful of requests and
