@@ -15,8 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_critical_value, bounded_ufp_epoch_resume,
-    bounded_ufp_epoch_traced, BoundedUfpConfig, CriticalPrice, EpochContext, EpochOutcome, Request,
-    SelectionStrategy, UfpInstance,
+    bounded_ufp_epoch_traced, BoundedUfpConfig, CriticalPrice, DualWeights, EpochContext,
+    EpochOutcome, Request, RequestId, SelectionStrategy, StopReason, UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
@@ -25,7 +25,10 @@ use ufp_par::Pool;
 
 /// Random instance with enough request mass that paths collide: a few
 /// hotspot pairs concentrate traffic (the dirty-storm case) on top of
-/// background pairs (the sparse-dirty case).
+/// background pairs (the sparse-dirty case). About a third of the
+/// hotspot requests copy an earlier hotspot request's `(demand, value)`
+/// exactly, so one query class holds runs of equal densities whose
+/// order only the request id decides.
 fn arb_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
     (4usize..10, 4usize..40, 2usize..36, any::<u64>(), 1usize..10).prop_map(
         |(n, extra_edges, requests, seed, eps_decile)| {
@@ -45,16 +48,25 @@ fn arb_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
                 }
             }
             let mut reqs = Vec::new();
+            let mut hot_types: Vec<(f64, f64)> = Vec::new();
             if !pairs.is_empty() {
                 for i in 0..requests {
                     // Two thirds hotspot traffic, one third background.
-                    let (src, dst) = pairs[if i % 3 == 2 {
-                        rng.random_range(0..pairs.len())
-                    } else {
+                    let hotspot = i % 3 != 2;
+                    let (src, dst) = pairs[if hotspot {
                         0
+                    } else {
+                        rng.random_range(0..pairs.len())
                     }];
-                    let demand = rng.random_range(0.1..=1.0);
-                    let value = rng.random_range(0.1..=4.0);
+                    let (demand, value) =
+                        if hotspot && !hot_types.is_empty() && rng.random_range(0..3u32) == 0 {
+                            hot_types[rng.random_range(0..hot_types.len())]
+                        } else {
+                            (rng.random_range(0.1..=1.0), rng.random_range(0.1..=4.0))
+                        };
+                    if hotspot {
+                        hot_types.push((demand, value));
+                    }
                     reqs.push(Request::new(src, dst, demand, value));
                 }
             }
@@ -296,14 +308,16 @@ fn recentering_flush_preserves_bit_identity() {
 }
 
 /// A bottleneck shared by every request: each winner dirties *all*
-/// remaining requests, driving the selector through its eager grouped
+/// remaining requests. On one endpoint pair that is one query class
+/// re-queried lazily; spread over 80 destinations behind the bottleneck
+/// it is 80 classes, which drives the selector through its eager grouped
 /// fan-out refresh (the large-dirty-set path) on every iteration.
 #[test]
 fn dirty_storm_takes_the_eager_path_bit_identically() {
     let mut gb = GraphBuilder::directed(3);
     gb.add_edge(NodeId(0), NodeId(1), 120.0);
     gb.add_edge(NodeId(1), NodeId(2), 120.0);
-    let inst = UfpInstance::new(
+    let one_pair = UfpInstance::new(
         gb.build(),
         (0..150)
             .map(|i| {
@@ -316,10 +330,33 @@ fn dirty_storm_takes_the_eager_path_bit_identically() {
             })
             .collect(),
     );
-    for eps in [0.3, 0.8] {
-        let fan = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
+    let mut gb = GraphBuilder::directed(82);
+    gb.add_edge(NodeId(0), NodeId(1), 120.0);
+    for leaf in 2..82 {
+        gb.add_edge(NodeId(1), NodeId(leaf), 60.0);
+    }
+    let many_pairs = UfpInstance::new(
+        gb.build(),
+        (0..240)
+            .map(|i| {
+                Request::new(
+                    NodeId(0),
+                    NodeId(2 + (i * 7) % 80),
+                    0.5 + 0.05 * (i % 10) as f64,
+                    0.7 + ((i * 11) % 17) as f64,
+                )
+            })
+            .collect(),
+    );
+    for (inst, eps) in [
+        (&one_pair, 0.3),
+        (&one_pair, 0.8),
+        (&many_pairs, 0.3),
+        (&many_pairs, 0.8),
+    ] {
+        let fan = bounded_ufp_epoch(inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
         let inc = bounded_ufp_epoch(
-            &inst,
+            inst,
             &with_strategy(eps, SelectionStrategy::Incremental),
             None,
         );
@@ -327,7 +364,7 @@ fn dirty_storm_takes_the_eager_path_bit_identically() {
         assert_outcomes_bit_identical(&fan, &inc);
         // Parallel eager refresh changes nothing.
         let inc_par = bounded_ufp_epoch(
-            &inst,
+            inst,
             &with_strategy(eps, SelectionStrategy::Incremental).parallel(Pool::new(4)),
             None,
         );
@@ -335,8 +372,10 @@ fn dirty_storm_takes_the_eager_path_bit_identically() {
     }
 }
 
-/// Residual-gated search with a dirty storm: the per-request edge filter
-/// (demand vs residual) flows through the eager refresh too.
+/// Residual-gated search with a dirty storm: the per-demand edge filter
+/// (demand vs residual) flows through the eager refresh too. Ten
+/// distinct demands make ten query classes (lazy refreshes); 120
+/// distinct demands make 120 (the eager path).
 #[test]
 fn residual_gate_dirty_storm_bit_identical() {
     let mut gb = GraphBuilder::directed(4);
@@ -344,26 +383,107 @@ fn residual_gate_dirty_storm_bit_identical() {
     gb.add_edge(NodeId(1), NodeId(3), 40.0);
     gb.add_edge(NodeId(0), NodeId(2), 45.0);
     gb.add_edge(NodeId(2), NodeId(3), 45.0);
-    let inst = UfpInstance::new(
-        gb.build(),
-        (0..120)
-            .map(|i| {
-                Request::new(
-                    NodeId(0),
-                    NodeId(3),
-                    0.3 + 0.07 * (i % 10) as f64,
-                    0.5 + ((i * 7) % 19) as f64,
-                )
-            })
-            .collect(),
-    );
+    let graph = gb.build();
     let mut fan_cfg = with_strategy(0.6, SelectionStrategy::FanOut);
     fan_cfg.respect_residual = true;
     let mut inc_cfg = with_strategy(0.6, SelectionStrategy::Incremental);
     inc_cfg.respect_residual = true;
-    let fan = bounded_ufp_epoch(&inst, &fan_cfg, None);
-    let inc = bounded_ufp_epoch(&inst, &inc_cfg, None);
-    assert!(!fan.run.solution.routed.is_empty());
+    for demands in [10, 120] {
+        let inst = UfpInstance::new(
+            graph.clone(),
+            (0..120)
+                .map(|i| {
+                    Request::new(
+                        NodeId(0),
+                        NodeId(3),
+                        0.3 + 0.7 * (i % demands) as f64 / demands as f64,
+                        0.5 + ((i * 7) % 19) as f64,
+                    )
+                })
+                .collect(),
+        );
+        let fan = bounded_ufp_epoch(&inst, &fan_cfg, None);
+        let inc = bounded_ufp_epoch(&inst, &inc_cfg, None);
+        assert!(!fan.run.solution.routed.is_empty());
+        assert_outcomes_bit_identical(&fan, &inc);
+    }
+}
+
+/// Two requests on one endpoint pair whose *different* densities round
+/// to the same score at the path's distance, the lower id holding the
+/// higher density. The fan-out breaks the tie by id, so the incremental
+/// selector must look past the lowest-density member of the class.
+#[test]
+fn rounded_score_tie_across_densities_goes_to_the_lower_id() {
+    let mut gb = GraphBuilder::directed(3);
+    gb.add_edge(NodeId(0), NodeId(1), 10.0);
+    gb.add_edge(NodeId(1), NodeId(2), 30.0);
+    let graph = gb.build();
+    // The only path's length under the initial weights, summed in
+    // Dijkstra's order.
+    let w = DualWeights::new(&graph).weights().to_vec();
+    let dist = 0.0 + w[0] + w[1];
+    // With value 1, density is the demand itself: find adjacent floats
+    // whose products with `dist` round to one float.
+    let next = |d: f64| f64::from_bits(d.to_bits() + 1);
+    let low = (0..1_000_000u64)
+        .map(|k| f64::from_bits(0.9f64.to_bits() + k))
+        .find(|&d| d * dist == next(d) * dist)
+        .expect("adjacent densities with a rounded score tie");
+    let high = next(low);
+    assert!(high > low && high * dist == low * dist);
+    let inst = UfpInstance::new(
+        graph,
+        vec![
+            Request::new(NodeId(0), NodeId(2), high, 1.0),
+            Request::new(NodeId(0), NodeId(2), low, 1.0),
+        ],
+    );
+    let fan = bounded_ufp_epoch(&inst, &with_strategy(0.5, SelectionStrategy::FanOut), None);
+    let inc = bounded_ufp_epoch(
+        &inst,
+        &with_strategy(0.5, SelectionStrategy::Incremental),
+        None,
+    );
+    assert_eq!(fan.run.solution.routed[0].0, RequestId(0));
+    assert_eq!(inc.run.solution.routed[0].0, RequestId(0));
+    assert_outcomes_bit_identical(&fan, &inc);
+}
+
+/// Under `respect_residual` the demand is part of the query: demands
+/// 0.9 and 0.2 on one pair issue different queries. A 0.5 request takes
+/// the only edge's residual from 1.2 to 0.7, after which the 0.9 request
+/// (the lower density) is unroutable while the 0.2 request still routes.
+/// A negative carried exponent keeps the guard sum far below its bound —
+/// with `carry = 0` the guard stops every run while residuals are >= 1,
+/// so the gate never bites.
+#[test]
+fn residual_gate_splits_classes_by_demand() {
+    let mut gb = GraphBuilder::directed(2);
+    gb.add_edge(NodeId(0), NodeId(1), 1.2);
+    let inst = UfpInstance::new(
+        gb.build(),
+        vec![
+            Request::new(NodeId(0), NodeId(1), 0.9, 9.0),
+            Request::new(NodeId(0), NodeId(1), 0.2, 0.2),
+            Request::new(NodeId(0), NodeId(1), 0.5, 10.0),
+        ],
+    );
+    let ctx = EpochContext {
+        capacities: &[1.2],
+        usable: &[true],
+        carry: &[-30.0],
+        routable: None,
+    };
+    let mut fan_cfg = with_strategy(0.5, SelectionStrategy::FanOut);
+    fan_cfg.respect_residual = true;
+    let mut inc_cfg = with_strategy(0.5, SelectionStrategy::Incremental);
+    inc_cfg.respect_residual = true;
+    let fan = bounded_ufp_epoch(&inst, &fan_cfg, Some(&ctx));
+    let inc = bounded_ufp_epoch(&inst, &inc_cfg, Some(&ctx));
+    let order: Vec<RequestId> = fan.run.solution.routed.iter().map(|(r, _)| *r).collect();
+    assert_eq!(order, vec![RequestId(2), RequestId(1)]);
+    assert_eq!(fan.run.trace.stop_reason, StopReason::NoPath);
     assert_outcomes_bit_identical(&fan, &inc);
 }
 

@@ -1,7 +1,9 @@
 //! Per-slot shortest-path cache with an edge→slot interest index.
 //!
-//! The incremental selection loop in `ufp-core` keeps, for every
-//! still-unrouted request, its last shortest path and distance. The
+//! Slots are the caller's keys. The incremental selection loop in
+//! `ufp-core` uses one slot per *query class* — the still-unrouted
+//! requests that issue the same shortest-path query — and keeps each
+//! class's last shortest path and distance. The
 //! monotone weight dynamics of Algorithm 1 (edge weights only grow,
 //! residuals only shrink within an epoch) guarantee that a cached answer
 //! stays **exact** until one of the edges *on the cached path* changes —
@@ -112,7 +114,7 @@ impl PathCache {
         self.commit(slot, dist);
     }
 
-    /// Drop `slot`'s entry (selected winners, unreachable requests). Old
+    /// Drop `slot`'s entry (emptied or unreachable classes). Old
     /// interest registrations die by version bump.
     pub fn evict(&mut self, slot: u32) {
         let s = slot as usize;
