@@ -237,9 +237,18 @@ struct ResumeStep {
 /// it. Pricing that agent ([`bounded_ufp_epoch_critical_value`])
 /// therefore only re-runs the *suffix* from that step, once, which is
 /// what makes truthful pricing viable at 10⁴-request epochs.
+///
+/// A trace recorded by [`bounded_ufp_epoch_traced`] is *native*: its
+/// steps are the argmin sequence of one run, so a selector that follows
+/// them selects each recorded winner in turn, and
+/// [`EpochResumeTrace::price_winners`] reuses that selector's state.
+/// Pushing a step ([`EpochResumeTrace::push_step`]) makes a trace
+/// *merged*: an interleaving of several runs' steps, which no single
+/// selector reproduces, so its winners are priced from cold selectors.
 #[derive(Clone, Debug, Default)]
 pub struct EpochResumeTrace {
     steps: Vec<ResumeStep>,
+    native: bool,
 }
 
 /// Read-only view of one recorded selection step, exposed so external
@@ -283,6 +292,12 @@ impl EpochResumeTrace {
         self.steps.iter().position(|s| s.record.selected == r)
     }
 
+    /// Whether the steps are one run's own argmin sequence (recorded by
+    /// [`bounded_ufp_epoch_traced`] and never pushed to).
+    pub fn is_native(&self) -> bool {
+        self.native
+    }
+
     /// Read-only view of step `i` (panics past the end of the trace).
     pub fn step(&self, i: usize) -> TraceStep<'_> {
         let s = &self.steps[i];
@@ -310,7 +325,8 @@ impl EpochResumeTrace {
     /// `bumps` must hold one line-10 exponent per `path.edges()` entry,
     /// and `routed_value_before` must equal the sum of the previously
     /// pushed steps' request values in push order (the replay
-    /// debug-asserts this ordering invariant).
+    /// debug-asserts this ordering invariant). The trace is merged from
+    /// then on ([`EpochResumeTrace::is_native`] is `false`).
     #[allow(clippy::too_many_arguments)] // mirrors the recorded step verbatim
     pub fn push_step(
         &mut self,
@@ -327,6 +343,7 @@ impl EpochResumeTrace {
             bumps.len(),
             "one bump exponent per path edge"
         );
+        self.native = false;
         self.steps.push(ResumeStep {
             path,
             bumps,
@@ -379,26 +396,232 @@ impl EpochResumeTrace {
         ctx: Option<&EpochContext<'_>>,
         steps: usize,
     ) -> EpochCheckpoint {
-        assert!(
-            steps <= self.steps.len(),
-            "checkpoint past the end of the trace ({steps} > {})",
-            self.steps.len()
-        );
         validate_epoch_inputs(instance, config, ctx);
-        let mut state = EpochRunState::init(instance, ctx);
-        for step in &self.steps[..steps] {
-            state.replay(instance, step);
+        let mut cursor = TraceCursor::new(self, instance, config, ctx, None, false);
+        cursor.advance_to(steps);
+        cursor.into_checkpoint()
+    }
+
+    /// Price `winners` — `(request, its selection step)` pairs of this
+    /// trace — at their exact critical values, one
+    /// [`bounded_ufp_epoch_critical_value`] suffix run each, returned in
+    /// `winners` order. `instance`, `config` and `ctx` must be the traced
+    /// run's own.
+    ///
+    /// The winners are sorted by step and split into about two contiguous
+    /// runs per pool thread; each run is one pool job. A job replays the
+    /// trace by arithmetic up to its first winner and then walks the
+    /// recorded steps forward, forking a checkpoint at each winner's
+    /// step. On a native trace under [`SelectionStrategy::Incremental`]
+    /// the job's selector follows the recorded steps (`select` +
+    /// `after_step`, seeded once per job), and each fork carries a clone
+    /// of it, so a suffix run starts from the traced run's own cached
+    /// paths instead of re-seeding every query class. A merged trace is
+    /// priced one winner per job from a cold selector. Each winner's
+    /// work runs under a `payment.probe` span whose `suffix_len` counts
+    /// the steps past its step. The split never changes a price.
+    pub fn price_winners(
+        &self,
+        instance: &UfpInstance,
+        config: &BoundedUfpConfig,
+        ctx: Option<&EpochContext<'_>>,
+        winners: &[(RequestId, usize)],
+    ) -> Vec<CriticalPrice> {
+        let jobs = 2 * config.pool.threads().max(1);
+        let run_len = winners.len().div_ceil(jobs);
+        self.price_winners_in_runs(instance, config, ctx, winners, run_len)
+    }
+
+    /// [`EpochResumeTrace::price_winners`] with an explicit run length:
+    /// each pool job prices up to `run_len` consecutive winners (by
+    /// step). Merged traces always use runs of one. Exposed so tests can
+    /// pin the split; prices are bit-identical for every `run_len`.
+    pub fn price_winners_in_runs(
+        &self,
+        instance: &UfpInstance,
+        config: &BoundedUfpConfig,
+        ctx: Option<&EpochContext<'_>>,
+        winners: &[(RequestId, usize)],
+        run_len: usize,
+    ) -> Vec<CriticalPrice> {
+        validate_epoch_inputs(instance, config, ctx);
+        for &(agent, step) in winners {
+            assert_eq!(
+                self.step(step).selected,
+                agent,
+                "winner step does not match the trace"
+            );
         }
-        EpochCheckpoint { state }
+        let warm = self.native && config.selection == SelectionStrategy::Incremental;
+        let run_len = if self.native { run_len.max(1) } else { 1 };
+        let merged_mask = path_mask(ctx);
+        let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
+        let total_steps = self.num_steps();
+
+        let mut order: Vec<usize> = (0..winners.len()).collect();
+        order.sort_unstable_by_key(|&i| winners[i].1);
+        let runs: Vec<&[usize]> = order.chunks(run_len).collect();
+        // The suffix runs execute *inside* pool workers. Nested dispatch
+        // (the selector's grouped refresh) is deadlock-free since
+        // `ufp_par` waits help-first, and results are unaffected either
+        // way: parallel and sequential fan-outs are bit-identical by
+        // `ufp_par`'s ordered reduction.
+        let priced: Vec<Vec<CriticalPrice>> = config.pool.map(&runs, |_, run| {
+            let mut cursor = Some(TraceCursor::new(self, instance, config, ctx, usable, warm));
+            let mut prices = Vec::with_capacity(run.len());
+            for (j, &i) in run.iter().enumerate() {
+                let (agent, step) = winners[i];
+                let _span = config.obs.span_attr(
+                    Phase::PaymentProbe,
+                    "suffix_len",
+                    (total_steps - step) as u64,
+                );
+                let c = cursor.as_mut().expect("the cursor outlives its run");
+                c.advance_to(step);
+                let checkpoint = if j + 1 == run.len() {
+                    cursor.take().expect("taken once").into_checkpoint()
+                } else {
+                    c.fork()
+                };
+                prices.push(bounded_ufp_epoch_critical_value(
+                    instance, config, ctx, checkpoint, agent,
+                ));
+            }
+            prices
+        });
+
+        let mut out = vec![None; winners.len()];
+        for (&i, price) in order.iter().zip(priced.into_iter().flatten()) {
+            out[i] = Some(price);
+        }
+        out.into_iter()
+            .map(|p| p.expect("every winner is priced"))
+            .collect()
+    }
+}
+
+/// A forward cursor over a recorded trace: the run state after
+/// `state.steps_done` steps, advanced by arithmetic replay. A *warm*
+/// cursor also drives an [`IncrementalSelector`] through the recorded
+/// steps, mirroring the traced run's own `select` + `after_step` and
+/// checking each selection against the recorded winner, so checkpoints
+/// forked from it carry the selector instead of re-seeding one. The
+/// selector is seeded at the first fork; the prefix before it is pure
+/// arithmetic either way. Only native traces may be walked warm.
+struct TraceCursor<'a> {
+    trace: &'a EpochResumeTrace,
+    instance: &'a UfpInstance,
+    config: &'a BoundedUfpConfig,
+    usable: Option<&'a [bool]>,
+    state: EpochRunState,
+    warm: bool,
+    selector: Option<IncrementalSelector>,
+}
+
+impl<'a> TraceCursor<'a> {
+    fn new(
+        trace: &'a EpochResumeTrace,
+        instance: &'a UfpInstance,
+        config: &'a BoundedUfpConfig,
+        ctx: Option<&EpochContext<'_>>,
+        usable: Option<&'a [bool]>,
+        warm: bool,
+    ) -> Self {
+        debug_assert!(!warm || trace.native, "only native traces are walked warm");
+        TraceCursor {
+            trace,
+            instance,
+            config,
+            usable,
+            state: EpochRunState::init(instance, ctx),
+            warm,
+            selector: None,
+        }
+    }
+
+    /// Replay forward to just before step `step` (steps already applied
+    /// stay applied: a cursor never moves back).
+    fn advance_to(&mut self, step: usize) {
+        assert!(
+            step <= self.trace.steps.len(),
+            "checkpoint past the end of the trace ({step} > {})",
+            self.trace.steps.len()
+        );
+        debug_assert!(self.state.steps_done <= step, "cursors only move forward");
+        while self.state.steps_done < step {
+            let recorded = &self.trace.steps[self.state.steps_done];
+            if self.selector.is_some() {
+                self.select_recorded();
+            }
+            self.state.replay(self.instance, recorded);
+            if let Some(selector) = self.selector.as_mut() {
+                selector.after_step(
+                    recorded.record.selected,
+                    &recorded.path,
+                    &self.state.weights,
+                );
+            }
+        }
+    }
+
+    /// Mirror the traced run's selection at the current step (seeding the
+    /// selector on first use) and check it against the recorded winner.
+    fn select_recorded(&mut self) {
+        let k = self.state.steps_done;
+        let recorded = self.trace.steps[k].record.selected;
+        let instance = self.instance;
+        let selector = self
+            .selector
+            .get_or_insert_with(|| IncrementalSelector::new(instance));
+        let inputs = select_inputs(instance, self.config, self.usable, &self.state);
+        let picked = selector
+            .select(&self.state.remaining, &inputs)
+            .map(|(r, _)| r);
+        assert_eq!(
+            picked,
+            Some(recorded),
+            "warm selector diverged from the native trace at step {k}"
+        );
+    }
+
+    /// A checkpoint at the current step; a warm cursor first selects the
+    /// step's recorded winner, and the checkpoint gets a clone of its
+    /// selector.
+    fn fork(&mut self) -> EpochCheckpoint {
+        if self.warm {
+            self.select_recorded();
+        }
+        EpochCheckpoint {
+            state: self.state.clone(),
+            selector: self.selector.clone(),
+        }
+    }
+
+    /// [`TraceCursor::fork`] without the copy.
+    fn into_checkpoint(mut self) -> EpochCheckpoint {
+        if self.warm {
+            self.select_recorded();
+        }
+        EpochCheckpoint {
+            state: self.state,
+            selector: self.selector,
+        }
     }
 }
 
 /// Materialized state of an epoch run after some step prefix — the
 /// resumable snapshot handed to [`bounded_ufp_epoch_resume`] and
 /// [`bounded_ufp_epoch_critical_value`].
+///
+/// Checkpoints from [`EpochResumeTrace::checkpoint`] are cold: the
+/// resumed run seeds a fresh selector. Checkpoints forked inside
+/// [`EpochResumeTrace::price_winners`] may also carry a warm
+/// incremental selector that has just selected the step's recorded
+/// winner; the resumed loop uses it in place of a fresh one.
 #[derive(Clone, Debug)]
 pub struct EpochCheckpoint {
     state: EpochRunState,
+    selector: Option<IncrementalSelector>,
 }
 
 impl EpochCheckpoint {
@@ -536,6 +759,10 @@ fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 
 /// * `observer` — when set, it sees every iteration's argmin and score
 ///   *before* the step is applied (the pricing suffix run); it reads the
 ///   state and never changes the run.
+/// * `warm` — a selector consistent with `state` (from a warm
+///   [`EpochCheckpoint`]); the incremental loop continues with it
+///   instead of seeding a new one, and the fan-out loop, which has no
+///   selector, ignores it.
 #[allow(clippy::too_many_arguments)] // internal: one call site per entry point
 fn run_epoch_loop(
     instance: &UfpInstance,
@@ -546,6 +773,7 @@ fn run_epoch_loop(
     state: &mut EpochRunState,
     record_steps: Option<&mut Vec<ResumeStep>>,
     observer: Option<&mut CriticalWatch<'_>>,
+    warm: Option<IncrementalSelector>,
 ) -> StopReason {
     match config.selection {
         SelectionStrategy::FanOut => run_epoch_loop_fanout(
@@ -567,7 +795,26 @@ fn run_epoch_loop(
             state,
             record_steps,
             observer,
+            warm.unwrap_or_else(|| IncrementalSelector::new(instance)),
         ),
+    }
+}
+
+/// The selector's view of the loop state.
+fn select_inputs<'s>(
+    instance: &'s UfpInstance,
+    config: &'s BoundedUfpConfig,
+    usable: Option<&'s [bool]>,
+    state: &'s EpochRunState,
+) -> SelectInputs<'s> {
+    SelectInputs {
+        instance,
+        weights: &state.weights,
+        residual: &state.residual,
+        usable,
+        respect_residual: config.respect_residual,
+        pool: &config.pool,
+        obs: &config.obs,
     }
 }
 
@@ -749,9 +996,9 @@ fn run_epoch_loop_fanout(
 }
 
 /// The incremental loop: dirty-set path cache + lazy score heap (see
-/// [`crate::selection`]). Selector state is *derived* — rebuildable from
-/// the loop state at any point — so checkpoints, resume traces, pricing
-/// runs, and snapshots need no knowledge of it.
+/// [`crate::selection`]), driven by `selector` — a fresh one, or a warm
+/// one consistent with `state`. Selector state is *derived*, so which of
+/// the two drives the loop never changes its selections.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_incremental(
     instance: &UfpInstance,
@@ -762,8 +1009,8 @@ fn run_epoch_loop_incremental(
     state: &mut EpochRunState,
     mut record_steps: Option<&mut Vec<ResumeStep>>,
     mut observer: Option<&mut CriticalWatch<'_>>,
+    mut selector: IncrementalSelector,
 ) -> StopReason {
-    let mut selector = IncrementalSelector::new(instance);
     loop {
         if state.remaining.is_empty() {
             return StopReason::Exhausted;
@@ -774,15 +1021,7 @@ fn run_epoch_loop_incremental(
         }
 
         let selection = {
-            let inputs = SelectInputs {
-                instance,
-                weights: &state.weights,
-                residual: &state.residual,
-                usable,
-                respect_residual: config.respect_residual,
-                pool: &config.pool,
-                obs: &config.obs,
-            };
+            let inputs = select_inputs(instance, config, usable, state);
             selector.select(&state.remaining, &inputs)
         };
         let Some((selected, score)) = selection else {
@@ -868,7 +1107,10 @@ pub fn bounded_ufp_epoch_traced(
     config: &BoundedUfpConfig,
     ctx: Option<&EpochContext<'_>>,
 ) -> (EpochOutcome, EpochResumeTrace) {
-    let mut trace = EpochResumeTrace::default();
+    let mut trace = EpochResumeTrace {
+        steps: Vec::new(),
+        native: true,
+    };
     let outcome = run_epoch(instance, config, ctx, Some(&mut trace.steps));
     (outcome, trace)
 }
@@ -893,6 +1135,7 @@ fn run_epoch(
         ln_guard,
         &mut state,
         record_steps,
+        None,
         None,
     );
     if config.obs.is_enabled() {
@@ -931,9 +1174,12 @@ pub fn bounded_ufp_epoch_resume(
     let ln_guard = config.epsilon * (b - 1.0);
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
-    let mut state = checkpoint.state;
+    let EpochCheckpoint {
+        mut state,
+        selector,
+    } = checkpoint;
     let stop_reason = run_epoch_loop(
-        instance, config, usable, b, ln_guard, &mut state, None, None,
+        instance, config, usable, b, ln_guard, &mut state, None, None, selector,
     );
     finish_outcome(config, ctx.is_some(), state, stop_reason, ln_guard)
 }
@@ -977,7 +1223,8 @@ pub struct CriticalPrice {
 /// only when a step's path crosses the cached path or the dual weights
 /// re-centre — the invariant the incremental selector's path cache
 /// rests on — so pricing costs one suffix run plus a few agent queries.
-/// `FanOut` and `Incremental` selection return bit-identical prices.
+/// `FanOut` and `Incremental` selection return bit-identical prices, and
+/// so do cold and warm checkpoints.
 pub fn bounded_ufp_epoch_critical_value(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
@@ -990,7 +1237,25 @@ pub fn bounded_ufp_epoch_critical_value(
     let ln_guard = config.epsilon * (b - 1.0);
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
-    let mut state = checkpoint.state;
+    let EpochCheckpoint {
+        mut state,
+        selector,
+    } = checkpoint;
+    // A warm checkpoint sits at the agent's own step, where its selector
+    // selects the agent (again — `select` is idempotent while nothing
+    // changes). The agent then leaves its class without its step being
+    // applied: the selector describes the agent-absent run.
+    let warm = selector.map(|mut selector| {
+        let inputs = select_inputs(instance, config, usable, &state);
+        let picked = selector.select(&state.remaining, &inputs).map(|(r, _)| r);
+        assert_eq!(
+            picked,
+            Some(agent),
+            "a warm checkpoint must sit at the agent's selection step"
+        );
+        selector.leave(agent);
+        selector
+    });
     let before = state.remaining.len();
     state.remaining.retain(|r| *r != agent);
     assert_eq!(
@@ -1008,6 +1273,7 @@ pub fn bounded_ufp_epoch_critical_value(
         &mut state,
         None,
         Some(&mut watch),
+        warm,
     );
     watch.finish(&state, stop, ln_guard)
 }

@@ -39,6 +39,10 @@
 //! so one suffix run, observing the agent's distance and each step's
 //! argmin score, yields its critical value `min_k d·dist_k / best_k`
 //! together with the binding step and rival ([`CriticalPrice`]).
+//! [`EpochResumeTrace::price_winners`] prices a whole epoch's winners:
+//! each pool job walks the trace forward once, and on a native trace
+//! its suffix runs start from the traced run's own selector state
+//! instead of re-seeding one.
 
 pub mod baselines;
 pub mod bounded_ufp;

@@ -149,10 +149,14 @@ struct Class {
     dirty: bool,
 }
 
-/// The per-epoch incremental selection state. One instance lives for one
-/// `run_epoch_loop` call; it is derived state (rebuildable from the loop
-/// state at any point), which is what keeps checkpoints, resume traces,
-/// and snapshots entirely unaware of it.
+/// The per-epoch incremental selection state. It is derived state: a
+/// fresh selector seeded from the loop state at any point selects
+/// exactly what one that followed the run from its start selects. Resume
+/// traces and snapshots therefore never store it. A pricing checkpoint
+/// may carry a *warm* clone instead of re-seeding (see
+/// `EpochResumeTrace::price_winners`): the clone has followed the traced
+/// run's own steps, so its cached answers are that run's answers.
+#[derive(Clone, Debug)]
 pub(crate) struct IncrementalSelector {
     /// One slot per class (built at seeding).
     cache: PathCache,
@@ -393,13 +397,21 @@ impl IncrementalSelector {
             .1
     }
 
-    /// Account for an applied step: retire the winner from its class
-    /// (promoting the next representative under the class's cached
-    /// distance), dirty the classes whose cached paths cross its path's
-    /// edges (their weights were bumped and their residuals decremented),
-    /// and detect weight re-centering (which invalidates every cached
-    /// distance's scale).
+    /// Account for an applied step: [`IncrementalSelector::leave`] for
+    /// the winner, then [`IncrementalSelector::dirty_crossed`] for its
+    /// path.
     pub(crate) fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
+        self.leave(selected);
+        self.dirty_crossed(path, weights);
+    }
+
+    /// The winner leaves its class: promote the class's next
+    /// representative under its cached distance, or retire the class
+    /// when it was the last member. `selected` must be the request the
+    /// last [`IncrementalSelector::select`] returned (its class is
+    /// fresh). A pricing run calls this alone to take the priced agent
+    /// out of a warm selector without applying its step.
+    pub(crate) fn leave(&mut self, selected: RequestId) {
         let c = self.class_of[selected.index()];
         self.heap.remove(selected.0);
         let class = &mut self.classes[c as usize];
@@ -421,7 +433,13 @@ impl IncrementalSelector {
             let dist = self.cache.get(c).expect("winner's class is cached").0;
             self.place(c, dist);
         }
+    }
 
+    /// Dirty the classes whose cached paths cross `path`'s edges (their
+    /// weights were bumped and their residuals decremented), and detect
+    /// weight re-centering (which invalidates every cached distance's
+    /// scale).
+    pub(crate) fn dirty_crossed(&mut self, path: &Path, weights: &DualWeights) {
         if weights.shift() != self.shift_seen {
             // Re-centering rescaled every materialized weight: cached
             // distances are in the wrong scale and stale keys are no

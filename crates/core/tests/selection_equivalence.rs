@@ -7,7 +7,9 @@
 //! weights, routable masks), residual-gated path search, and weight
 //! re-centering. Everything prefix-resumed payments and snapshots built
 //! on the fan-out loop must keep working unchanged on top of the
-//! incremental one.
+//! incremental one. Pricing from warm selectors
+//! ([`EpochResumeTrace::price_winners`]) must match pricing from cold
+//! checkpoints field for field.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,11 +18,12 @@ use rand::{Rng, SeedableRng};
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_critical_value, bounded_ufp_epoch_resume,
     bounded_ufp_epoch_traced, BoundedUfpConfig, CriticalPrice, DualWeights, EpochContext,
-    EpochOutcome, Request, RequestId, SelectionStrategy, StopReason, UfpInstance,
+    EpochOutcome, EpochResumeTrace, Request, RequestId, SelectionStrategy, StopReason, UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
 use ufp_netgraph::ids::NodeId;
+use ufp_obs::{Phase, Recorder};
 use ufp_par::Pool;
 
 /// Random instance with enough request mass that paths collide: a few
@@ -249,6 +252,365 @@ proptest! {
         assert_prices_agree(&inst, &fan_cfg, &inc_cfg, Some(&ctx), 3);
         assert_prices_agree(&inst, &fan_cfg, &inc_cfg, None, 3);
     }
+
+    #[test]
+    fn warm_prices_match_cold_checkpoints(
+        (inst, eps) in arb_instance(),
+        seed in any::<u64>(),
+        respect_residual in any::<bool>(),
+    ) {
+        // Carry, usable and routable masks, with and without the residual
+        // gate; every winner, and a sparse subset that makes the cursor
+        // walk steps it does not price.
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(29));
+        let routable: Vec<bool> = (0..caps.len())
+            .map(|_| rng.random_range(0..6u32) != 0)
+            .collect();
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: Some(&routable),
+        };
+        for ctx in [Some(&ctx), None] {
+            let mut cfg = with_strategy(eps, SelectionStrategy::Incremental);
+            cfg.respect_residual = respect_residual;
+            let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, ctx);
+            let all = winners_by_id(&trace, |_| true);
+            assert_warm_matches_cold(&inst, &cfg, ctx, &trace, &all);
+            let sparse = winners_by_id(&trace, |k| (k as u64 ^ seed).is_multiple_of(3));
+            assert_warm_matches_cold(&inst, &cfg, ctx, &trace, &sparse);
+        }
+    }
+}
+
+/// The winners of `trace` at the steps `keep` accepts, as `(request,
+/// step)` pairs in ascending request order (the engine's order, which
+/// is not step order).
+fn winners_by_id(
+    trace: &EpochResumeTrace,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<(RequestId, usize)> {
+    let mut winners: Vec<(RequestId, usize)> = (0..trace.num_steps())
+        .filter(|&k| keep(k))
+        .map(|k| (trace.step(k).selected, k))
+        .collect();
+    winners.sort_unstable();
+    winners
+}
+
+/// Every field of two prices, the value by its bits.
+fn assert_price_bits(warm: &CriticalPrice, cold: &CriticalPrice, what: &str) {
+    assert_eq!(
+        warm.value.to_bits(),
+        cold.value.to_bits(),
+        "{what}: value diverged: {warm:?} vs {cold:?}"
+    );
+    assert_eq!(warm.step, cold.step, "{what}: binding step diverged");
+    assert_eq!(warm.rival, cold.rival, "{what}: rival diverged");
+    assert_eq!(warm.stop, cold.stop, "{what}: stop diverged");
+}
+
+/// The oracle: price `winners` of `trace` through
+/// [`EpochResumeTrace::price_winners_in_runs`] — runs of 1, 2 and all
+/// winners, pools of 1 and 4 threads, and the default split — and
+/// through [`bounded_ufp_epoch_critical_value`] on a cold
+/// [`EpochResumeTrace::checkpoint`] per winner, under both selection
+/// strategies. Everything must agree bit for bit. Returns the cold
+/// prices.
+fn assert_warm_matches_cold(
+    inst: &UfpInstance,
+    cfg: &BoundedUfpConfig,
+    ctx: Option<&EpochContext<'_>>,
+    trace: &EpochResumeTrace,
+    winners: &[(RequestId, usize)],
+) -> Vec<CriticalPrice> {
+    let cold: Vec<CriticalPrice> = winners
+        .iter()
+        .map(|&(rid, k)| {
+            let ckpt = trace.checkpoint(inst, cfg, ctx, k);
+            bounded_ufp_epoch_critical_value(inst, cfg, ctx, ckpt, rid)
+        })
+        .collect();
+    for strategy in [SelectionStrategy::Incremental, SelectionStrategy::FanOut] {
+        for threads in [1, 4] {
+            let mut cfg = cfg.clone().parallel(Pool::new(threads));
+            cfg.selection = strategy;
+            let mut splits = vec![1, 2, winners.len()];
+            splits.dedup();
+            for run_len in splits {
+                let warm = trace.price_winners_in_runs(inst, &cfg, ctx, winners, run_len);
+                assert_eq!(warm.len(), winners.len());
+                for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
+                    let what = format!(
+                        "{strategy:?}, {threads} threads, runs of {run_len}, winner {:?}",
+                        winners[i]
+                    );
+                    assert_price_bits(w, c, &what);
+                }
+            }
+            let default_split = trace.price_winners(inst, &cfg, ctx, winners);
+            for (w, c) in default_split.iter().zip(&cold) {
+                assert_price_bits(w, c, "default split");
+            }
+        }
+    }
+    cold
+}
+
+/// Every winner of a traced run, priced warm and cold (see
+/// [`assert_warm_matches_cold`]). Returns the cold prices.
+fn assert_all_winners_warm_match_cold(
+    inst: &UfpInstance,
+    cfg: &BoundedUfpConfig,
+    ctx: Option<&EpochContext<'_>>,
+) -> Vec<CriticalPrice> {
+    let (_, trace) = bounded_ufp_epoch_traced(inst, cfg, ctx);
+    assert!(trace.is_native(), "a recorded trace is native");
+    let winners = winners_by_id(&trace, |_| true);
+    assert_warm_matches_cold(inst, cfg, ctx, &trace, &winners)
+}
+
+/// The oracle over fixtures whose agent-absent runs stop in each way —
+/// `Guard`, `NoPath` and `Exhausted` — plus rounded-score ties, the
+/// eager-refresh storm and a residual-gated class split.
+#[test]
+fn warm_prices_match_cold_on_every_stop() {
+    let mut stops = Vec::new();
+
+    // Guard: one edge of capacity 4 and eps 1, so every selection adds
+    // 1 to ln D₁ and the guard (ln D₁ > 3) trips after four of twenty.
+    let mut gb = GraphBuilder::directed(2);
+    gb.add_edge(NodeId(0), NodeId(1), 4.0);
+    let guard = UfpInstance::new(
+        gb.build(),
+        (0..20)
+            .map(|i| Request::new(NodeId(0), NodeId(1), 1.0, 1.0 + (i % 7) as f64))
+            .collect(),
+    );
+    let prices = assert_all_winners_warm_match_cold(
+        &guard,
+        &with_strategy(1.0, SelectionStrategy::Incremental),
+        None,
+    );
+    stops.extend(prices.iter().map(|p| p.stop));
+
+    // Exhausted and NoPath: ample capacity, and a request between
+    // disconnected nodes that never routes.
+    let mut gb = GraphBuilder::directed(5);
+    gb.add_edge(NodeId(0), NodeId(1), 200.0);
+    gb.add_edge(NodeId(1), NodeId(2), 200.0);
+    gb.add_edge(NodeId(0), NodeId(2), 150.0);
+    let graph = gb.build();
+    let mut reqs: Vec<Request> = (0..8)
+        .map(|i| Request::new(NodeId(0), NodeId(2 - (i % 2)), 0.5, 1.0 + i as f64))
+        .collect();
+    let exhausted = UfpInstance::new(graph.clone(), reqs.clone());
+    reqs.push(Request::new(NodeId(3), NodeId(4), 0.5, 5.0));
+    let no_path = UfpInstance::new(graph, reqs);
+    for inst in [&exhausted, &no_path] {
+        let prices = assert_all_winners_warm_match_cold(
+            inst,
+            &with_strategy(0.5, SelectionStrategy::Incremental),
+            None,
+        );
+        stops.extend(prices.iter().map(|p| p.stop));
+    }
+    for stop in [StopReason::Guard, StopReason::NoPath, StopReason::Exhausted] {
+        assert!(
+            stops.contains(&stop),
+            "no agent-absent run stopped {stop:?}: {stops:?}"
+        );
+    }
+
+    // Rounded-score ties across densities (see the fixture below).
+    let mut gb = GraphBuilder::directed(3);
+    gb.add_edge(NodeId(0), NodeId(1), 10.0);
+    gb.add_edge(NodeId(1), NodeId(2), 30.0);
+    let graph = gb.build();
+    let w = DualWeights::new(&graph).weights().to_vec();
+    let dist = 0.0 + w[0] + w[1];
+    let next = |d: f64| f64::from_bits(d.to_bits() + 1);
+    let low = (0..1_000_000u64)
+        .map(|k| f64::from_bits(0.9f64.to_bits() + k))
+        .find(|&d| d * dist == next(d) * dist)
+        .expect("adjacent densities with a rounded score tie");
+    let tie = UfpInstance::new(
+        graph,
+        vec![
+            Request::new(NodeId(0), NodeId(2), next(low), 1.0),
+            Request::new(NodeId(0), NodeId(2), low, 1.0),
+            Request::new(NodeId(0), NodeId(2), low, 1.0),
+        ],
+    );
+    let prices = assert_all_winners_warm_match_cold(
+        &tie,
+        &with_strategy(0.5, SelectionStrategy::Incremental),
+        None,
+    );
+    assert!(!prices.is_empty());
+
+    // Eighty classes behind one bottleneck: the warm selector takes the
+    // eager grouped refresh on every step.
+    let mut gb = GraphBuilder::directed(82);
+    gb.add_edge(NodeId(0), NodeId(1), 120.0);
+    for leaf in 2..82 {
+        gb.add_edge(NodeId(1), NodeId(leaf), 60.0);
+    }
+    let storm = UfpInstance::new(
+        gb.build(),
+        (0..240)
+            .map(|i| {
+                Request::new(
+                    NodeId(0),
+                    NodeId(2 + (i * 7) % 80),
+                    0.5 + 0.05 * (i % 10) as f64,
+                    0.7 + ((i * 11) % 17) as f64,
+                )
+            })
+            .collect(),
+    );
+    let cfg = with_strategy(0.3, SelectionStrategy::Incremental);
+    let (_, trace) = bounded_ufp_epoch_traced(&storm, &cfg, None);
+    let sampled = winners_by_id(&trace, |k| k % 7 == 0);
+    assert!(sampled.len() >= 3);
+    assert_warm_matches_cold(&storm, &cfg, None, &trace, &sampled);
+
+    // The residual gate splits one pair into classes by demand.
+    let mut gb = GraphBuilder::directed(2);
+    gb.add_edge(NodeId(0), NodeId(1), 1.2);
+    let gated = UfpInstance::new(
+        gb.build(),
+        vec![
+            Request::new(NodeId(0), NodeId(1), 0.9, 9.0),
+            Request::new(NodeId(0), NodeId(1), 0.2, 0.2),
+            Request::new(NodeId(0), NodeId(1), 0.5, 10.0),
+        ],
+    );
+    let ctx = EpochContext {
+        capacities: &[1.2],
+        usable: &[true],
+        carry: &[-30.0],
+        routable: None,
+    };
+    let mut cfg = with_strategy(0.5, SelectionStrategy::Incremental);
+    cfg.respect_residual = true;
+    let prices = assert_all_winners_warm_match_cold(&gated, &cfg, Some(&ctx));
+    assert_eq!(prices.len(), 2);
+}
+
+/// Suffix runs that cross weight re-centrings: the warm selector was
+/// seeded before the shift moved and must flush on it exactly like a
+/// cold one seeded after.
+#[test]
+fn warm_prices_match_cold_across_recentering() {
+    // 650 unit selections of exponent 1 cross RECENTER_AT = 600 inside
+    // the suffix of every sampled early winner and, for the late ones,
+    // inside the cursor's own walk.
+    let mut gb = GraphBuilder::directed(2);
+    gb.add_edge(NodeId(0), NodeId(1), 2000.0);
+    let inst = UfpInstance::new(
+        gb.build(),
+        (0..650)
+            .map(|i| Request::new(NodeId(0), NodeId(1), 1.0, 1.0 + (i % 13) as f64))
+            .collect(),
+    );
+    let cfg = with_strategy(1.0, SelectionStrategy::Incremental);
+    let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
+    assert!(
+        trace.num_steps() > 600,
+        "fixture must cross the recenter threshold"
+    );
+    let sampled = winners_by_id(&trace, |k| {
+        k < 3 || k % 97 == 5 || k + 2 >= trace.num_steps()
+    });
+    assert_warm_matches_cold(&inst, &cfg, None, &trace, &sampled);
+}
+
+/// Hits of `phase` while `f` runs under an enabled recorder.
+fn phase_hits<T>(phase: Phase, f: impl FnOnce(&Recorder) -> T) -> (u64, T) {
+    let obs = Recorder::enabled();
+    let out = f(&obs);
+    let (_, hits) = obs.phase_totals().expect("recorder is on");
+    (hits[phase.index()], out)
+}
+
+/// A trace assembled with `push_step` is merged: it never takes the warm
+/// path, even when it holds exactly a native trace's steps. Its winners
+/// are priced one per job from cold selectors — the same eager seeding
+/// refreshes as pricing each winner from its own cold checkpoint — and
+/// at the same prices, while the native original seeds once per job.
+#[test]
+fn pushed_trace_never_takes_the_warm_path() {
+    let mut gb = GraphBuilder::directed(4);
+    gb.add_edge(NodeId(0), NodeId(1), 12.0);
+    gb.add_edge(NodeId(1), NodeId(3), 12.0);
+    gb.add_edge(NodeId(0), NodeId(2), 10.0);
+    gb.add_edge(NodeId(2), NodeId(3), 10.0);
+    gb.add_edge(NodeId(1), NodeId(2), 10.0);
+    let inst = UfpInstance::new(
+        gb.build(),
+        (0..24)
+            .map(|i| {
+                Request::new(
+                    NodeId(i % 2),
+                    NodeId(3 - (i % 3 == 0) as u32),
+                    0.4 + 0.1 * (i % 5) as f64,
+                    1.0 + (i * 7 % 11) as f64,
+                )
+            })
+            .collect(),
+    );
+    let cfg = with_strategy(0.6, SelectionStrategy::Incremental);
+    let (full, native) = bounded_ufp_epoch_traced(&inst, &cfg, None);
+    let mut merged = EpochResumeTrace::default();
+    for (k, record) in full.run.trace.records.iter().enumerate() {
+        let step = native.step(k);
+        merged.push_step(
+            step.selected,
+            step.ln_alpha,
+            step.raw_score,
+            record.ln_d1,
+            record.routed_value_before,
+            step.path.clone(),
+            step.bumps.to_vec(),
+        );
+    }
+    assert!(native.is_native());
+    assert!(!merged.is_native(), "push_step makes a trace merged");
+    let winners = winners_by_id(&native, |_| true);
+    assert!(winners.len() >= 4, "fixture must price several winners");
+    let all = winners.len();
+
+    let with_obs = |obs: &Recorder| cfg.clone().with_obs(obs.clone());
+    let (cold_seeds, cold) = phase_hits(Phase::SelectionDirtyRefresh, |obs| {
+        let cfg = with_obs(obs);
+        winners
+            .iter()
+            .map(|&(rid, k)| {
+                let ckpt = merged.checkpoint(&inst, &cfg, None, k);
+                bounded_ufp_epoch_critical_value(&inst, &cfg, None, ckpt, rid)
+            })
+            .collect::<Vec<_>>()
+    });
+    let (merged_seeds, merged_prices) = phase_hits(Phase::SelectionDirtyRefresh, |obs| {
+        merged.price_winners_in_runs(&inst, &with_obs(obs), None, &winners, all)
+    });
+    let (native_seeds, native_prices) = phase_hits(Phase::SelectionDirtyRefresh, |obs| {
+        native.price_winners_in_runs(&inst, &with_obs(obs), None, &winners, all)
+    });
+    assert_eq!(merged_seeds, cold_seeds, "a merged trace must price cold");
+    assert!(
+        native_seeds < cold_seeds,
+        "a native trace prices warm ({native_seeds} vs {cold_seeds} seeding refreshes)"
+    );
+    for ((m, n), c) in merged_prices.iter().zip(&native_prices).zip(&cold) {
+        assert_price_bits(m, c, "merged");
+        assert_price_bits(n, c, "native");
+    }
+    // One payment.probe span per winner either way.
+    let (probes, _) = phase_hits(Phase::PaymentProbe, |obs| {
+        native.price_winners(&inst, &with_obs(obs), None, &winners)
+    });
+    assert_eq!(probes, all as u64);
 }
 
 /// Pricing runs that cross weight re-centerings: the agent's cached

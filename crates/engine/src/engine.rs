@@ -4,9 +4,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ufp_core::{
-    bounded_ufp_epoch, bounded_ufp_epoch_critical_value, bounded_ufp_epoch_traced,
-    BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace, Request, RequestId, StopReason,
-    UfpInstance, UfpSolution,
+    bounded_ufp_epoch, bounded_ufp_epoch_traced, BoundedUfpConfig, EpochContext, EpochOutcome,
+    EpochResumeTrace, Request, RequestId, StopReason, UfpInstance, UfpSolution,
 };
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::EdgeId;
@@ -381,8 +380,37 @@ impl Engine {
         arrivals: &[Arrival],
         overrides: Option<&EpochOverride<'_>>,
     ) -> EpochPlan {
+        // A bad batch must panic before the epoch opens, not half way.
+        self.validate_batch(arrivals, overrides);
         let released = self.open_epoch(arrivals.len());
         self.plan_epoch_in(arrivals, released, overrides)
+    }
+
+    /// Check a batch (and an override's slice lengths) before any state
+    /// changes: every arrival's endpoints lie in the graph and its demand
+    /// is normalized. Panics on the first violation, leaving the engine
+    /// exactly as it was.
+    fn validate_batch(&self, arrivals: &[Arrival], overrides: Option<&EpochOverride<'_>>) {
+        let n = self.graph.num_nodes();
+        for (i, a) in arrivals.iter().enumerate() {
+            assert!(
+                a.request.src.index() < n && a.request.dst.index() < n,
+                "arrival {i} references vertices outside the graph"
+            );
+            assert!(
+                a.request.demand <= 1.0 + 1e-12,
+                "engine requires normalized demands in (0, 1]"
+            );
+        }
+        if let Some(o) = overrides {
+            let m = self.graph.num_edges();
+            assert_eq!(o.capacities.len(), m, "override capacities length");
+            assert_eq!(o.usable.len(), m, "override usable length");
+            assert_eq!(o.carry.len(), m, "override carry length");
+            if let Some(r) = o.routable {
+                assert_eq!(r.len(), m, "override routable length");
+            }
+        }
     }
 
     /// Open the next epoch without planning it: advance the epoch
@@ -423,6 +451,7 @@ impl Engine {
         released: Vec<usize>,
         overrides: Option<&EpochOverride<'_>>,
     ) -> EpochPlan {
+        self.validate_batch(arrivals, overrides);
         let obs = self.config.obs.clone();
         let _span = obs.span(Phase::EpochPlan);
         // Backdate by the epoch-open (TTL release) cost so the latency
@@ -434,13 +463,7 @@ impl Engine {
 
         // 2. Register arrivals globally and build the epoch instance.
         let base = self.requests.len() as u32;
-        for a in arrivals {
-            assert!(
-                a.request.demand <= 1.0 + 1e-12,
-                "engine requires normalized demands in (0, 1]"
-            );
-            self.requests.push(a.request);
-        }
+        self.requests.extend(arrivals.iter().map(|a| a.request));
         let batch: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
         let instance = UfpInstance::from_shared(Arc::clone(&self.graph), batch);
 
@@ -451,18 +474,12 @@ impl Engine {
         //    decayed here (the orchestrator owns the global carry and
         //    hands it in already decayed).
         let (ctx_capacities, ctx_usable, ctx_routable, ctx_carry) = match overrides {
-            Some(o) => {
-                let m = self.graph.num_edges();
-                assert_eq!(o.capacities.len(), m, "override capacities length");
-                assert_eq!(o.usable.len(), m, "override usable length");
-                assert_eq!(o.carry.len(), m, "override carry length");
-                (
-                    o.capacities.to_vec(),
-                    o.usable.to_vec(),
-                    o.routable.map(<[bool]>::to_vec),
-                    o.carry.to_vec(),
-                )
-            }
+            Some(o) => (
+                o.capacities.to_vec(),
+                o.usable.to_vec(),
+                o.routable.map(<[bool]>::to_vec),
+                o.carry.to_vec(),
+            ),
             None => {
                 for k in &mut self.carry {
                     *k *= self.config.carry_decay;
@@ -1048,14 +1065,13 @@ impl Engine {
     /// context it replays under, and each winner comes with its
     /// selection step in that trace.
     ///
-    /// Each winner is priced by one counterfactual suffix run
-    /// ([`bounded_ufp_epoch_critical_value`]) from the checkpoint at its
-    /// selection step — lowering its declared value cannot change any
-    /// earlier selection (Lemma 3.4). The runs are read-only replays, so
-    /// the winners fan out on the engine's `ufp_par` pool, each under a
-    /// `payment.probe` span whose `suffix_len` records the steps past
-    /// its resume point. `PaymentPolicy::None` prices every winner at
-    /// zero.
+    /// A thin caller of [`EpochResumeTrace::price_winners`] under the
+    /// engine's allocator configuration: one counterfactual suffix run
+    /// per winner from its selection step (Lemma 3.4), fanned out on the
+    /// engine's `ufp_par` pool, each under a `payment.probe` span whose
+    /// `suffix_len` records the steps past its resume point. The engine's
+    /// own (native) traces price from warm selectors, merged traces from
+    /// cold ones. `PaymentPolicy::None` prices every winner at zero.
     ///
     /// Returns one payment per winner, in `winners` order.
     pub fn price_winners_against_trace(
@@ -1068,28 +1084,11 @@ impl Engine {
         if matches!(self.config.payments, PaymentPolicy::None) {
             return vec![0.0; winners.len()];
         }
-        // Pricing runs execute *inside* pool workers during the fan-out
-        // below. Nested dispatch is deadlock-free since `ufp_par` waits
-        // help-first, so the inner allocator may keep the engine's pool;
-        // results are unaffected either way — parallel and sequential
-        // path fan-outs are bit-identical by `ufp_par`'s ordered
-        // reduction.
-        let probe_config = self.allocator_config.clone();
-        let total_steps = trace.num_steps();
-        self.config.pool.map(winners, |_, &(rid, step)| {
-            debug_assert_eq!(
-                trace.step(step).selected,
-                rid,
-                "winner step does not match the trace"
-            );
-            let _span = probe_config.obs.span_attr(
-                Phase::PaymentProbe,
-                "suffix_len",
-                (total_steps - step) as u64,
-            );
-            let ckpt = trace.checkpoint(instance, &probe_config, Some(ctx), step);
-            bounded_ufp_epoch_critical_value(instance, &probe_config, Some(ctx), ckpt, rid).value
-        })
+        trace
+            .price_winners(instance, &self.allocator_config, Some(ctx), winners)
+            .into_iter()
+            .map(|price| price.value)
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1635,6 +1634,52 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_bad_arrival_leaves_the_engine_untouched() {
+        // Epoch 1 admits TTL-1 flows, so opening epoch 2 would release
+        // them: a batch that fails validation after the open, or after
+        // registering its good arrivals, would show in the snapshot.
+        let config = EngineConfig::with_epsilon(0.8).with_payments(PaymentPolicy::critical_value());
+        let mut engine = Engine::new(one_link(6.0), config);
+        let first: Vec<Arrival> = unit_requests(4, |i| 1.0 + i as f64)
+            .into_iter()
+            .map(|r| Arrival::with_ttl(r, 1))
+            .collect();
+        let held = engine.submit_batch(&first).accepted;
+        assert!(held > 0);
+        let good: Vec<Arrival> = unit_requests(3, |i| 2.0 + i as f64)
+            .into_iter()
+            .map(Arrival::permanent)
+            .collect();
+        let off_graph = Request {
+            dst: n(7),
+            ..good[0].request
+        };
+        let oversized = Request {
+            demand: 1.5,
+            ..good[0].request
+        };
+        for bad in [oversized, off_graph] {
+            let mut batch = good.clone();
+            batch.push(Arrival::permanent(bad));
+            let before = engine.snapshot_bytes();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.submit_batch(&batch)
+            }));
+            assert!(outcome.is_err(), "{bad:?} must be refused");
+            assert_eq!(
+                engine.snapshot_bytes(),
+                before,
+                "{bad:?} mutated the engine"
+            );
+        }
+        // And the next good batch opens epoch 2 and releases epoch 1's
+        // flows, exactly as if the bad batches had never been offered.
+        let report = engine.submit_batch(&good);
+        assert_eq!(report.epoch, 2);
+        assert_eq!(report.released, held);
     }
 
     #[test]

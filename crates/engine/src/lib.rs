@@ -49,7 +49,10 @@
 //! when it runs out of rivals with guard room left. Each price costs one
 //! `O(suffix)` run, and the per-winner runs are independent given the
 //! frozen epoch context, so they fan out across [`EngineConfig::pool`]
-//! with deterministic (winner-ordered) results. One pricer,
+//! with deterministic (winner-ordered) results
+//! ([`ufp_core::EpochResumeTrace::price_winners`]: contiguous runs of
+//! winners per pool job, each walking the trace once with a warm
+//! selector when the trace is the engine's own). One pricer,
 //! [`Engine::price_winners_against_trace`], does this for every
 //! deployment: a single engine's commit prices its epoch against its own
 //! trace, and `ufp_shard` prices a sharded epoch against the merged

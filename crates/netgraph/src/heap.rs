@@ -30,9 +30,9 @@
 //! `4i+1 ..= 4i+4`) halves the tree depth of a binary heap: more
 //! comparisons per level, fewer cache-missing levels. Measured on this
 //! workspace's Dijkstra (`selection_benches`, `dijkstra_heap/*`), this
-//! heap beats the lazy binary heap by 11–18% on full-tree queries and
-//! ties it on targeted early-exit queries — which is why it is
-//! [`crate::dijkstra::HeapKind`]'s default.
+//! heap beat a lazy-deletion binary heap by 11–18% on full-tree queries
+//! and tied it on targeted early-exit queries, which is why
+//! [`crate::dijkstra::Dijkstra`] runs on it alone.
 
 use crate::ordered::OrderedF64;
 
